@@ -17,7 +17,7 @@ from .characteristic import (
     fg_split,
     principal_sqrt,
 )
-from .discretization import DiscreteGenerator, GridSpec, assemble, gram_matrices, make_domain_data
+from .discretization import DiscreteGenerator, GridSpec, assemble, make_domain_data
 from .resolvent import (
     apply_resolvent,
     particular_heat,

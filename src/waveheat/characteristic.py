@@ -12,6 +12,10 @@ hyperbolic factors overflow double precision long before the interesting
 frequency range is exhausted, so every product is evaluated internally as a
 ``(mantissa, log_scale)`` pair with the dominant exponential
 ``exp(|Re lam| + Re sqrt(lam))`` factored out.
+
+The scaled evaluators take either one point or a numpy array of points.
+A point keeps Python ``complex`` arithmetic (``cmath``), an array uses the
+same formulas in numpy; the two agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     DegenerateInputError,
@@ -56,40 +62,53 @@ class BoundaryVariant(Enum):
     DIRICHLET = "dirichlet"
 
 
-def principal_sqrt(value: complex) -> complex:
+def _upper_side(value):
+    """``value`` as a complex point or array, with -0.0 imaginary parts made +0.0.
+
+    This puts a point on the negative real axis on the upper side of the cut.
+    """
+    if isinstance(value, np.ndarray):
+        z = value.astype(complex)
+        return np.where(z.imag == 0.0, z.real + 0j, z)
+    z = complex(value)
+    return complex(z.real, 0.0) if z.imag == 0.0 else z
+
+
+def principal_sqrt(value: complex | np.ndarray):
     """Principal square root, cut on (-inf, 0), with Im >= 0 on the cut.
 
     All modules share this single implementation so that sqrt(lam) and
-    sqrt(i*s) are always taken on the same branch.
+    sqrt(i*s) are always taken on the same branch.  Takes a point or an
+    array of points.
     """
-    z = complex(value)
-    if z.imag == 0.0:
-        # collapse -0.0 imaginary parts onto the upper side of the cut
-        z = complex(z.real, 0.0)
-    return cmath.sqrt(z)
+    z = _upper_side(value)
+    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
 @dataclass(frozen=True)
 class ComplexFrequency:
-    """A spectral point lam together with its principal square root."""
+    """A spectral point lam (or an array of them) with its principal square root."""
 
     value: complex
     sqrt_value: complex
 
     @classmethod
-    def of(cls, value: complex) -> "ComplexFrequency":
-        v = complex(value)
-        if v.imag == 0.0:
-            v = complex(v.real, 0.0)
+    def of(cls, value: complex | np.ndarray) -> "ComplexFrequency":
+        v = _upper_side(value)
         return cls(value=v, sqrt_value=principal_sqrt(v))
 
     @property
-    def on_cut(self) -> bool:
-        return self.value.imag == 0.0 and self.value.real < 0.0
+    def on_cut(self):
+        """Whether the point lies on the branch cut; elementwise for arrays."""
+        return (self.value.imag == 0.0) & (self.value.real < 0.0)
 
 
 class ScaledValue(NamedTuple):
-    """A complex number represented as mantissa * exp(log_scale)."""
+    """A complex number represented as mantissa * exp(log_scale).
+
+    For an array of points both fields are arrays of that shape; ``value``,
+    ``abs_log`` and ``times`` take one point only.
+    """
 
     mantissa: complex
     log_scale: float
@@ -119,7 +138,14 @@ class ScaledValue(NamedTuple):
         return _normalize(self.mantissa * factor, self.log_scale)
 
 
-def _normalize(mantissa: complex, log_scale: float) -> ScaledValue:
+def _normalize(mantissa, log_scale) -> ScaledValue:
+    if isinstance(mantissa, np.ndarray):
+        mag = np.abs(mantissa)
+        keep = (mag == 0) | ((_MANTISSA_LO <= mag) & (mag <= _MANTISSA_HI))
+        div = np.where(keep, 1.0, mag)
+        return ScaledValue(
+            mantissa / div, np.where(mag == 0, 0.0, log_scale + np.log(div))
+        )
     if mantissa == 0:
         return ScaledValue(0j, 0.0)
     mag = abs(mantissa)
@@ -128,19 +154,24 @@ def _normalize(mantissa: complex, log_scale: float) -> ScaledValue:
     return ScaledValue(mantissa / mag, log_scale + math.log(mag))
 
 
-def _cosh_hat(z: complex) -> complex:
-    """cosh(z) / exp(|Re z|); both exponentials have modulus <= 1."""
+def _cosh_sinh_hat(z):
+    """(cosh(z), sinh(z)) / exp(|Re z|); both exponentials have modulus <= 1.
+
+    A point stays a Python complex (``cmath.exp``), so the arithmetic that
+    follows is Python's: numpy's complex ``*``, ``/`` and ``abs`` differ from
+    it in the last bit, and Newton roots are printed to the last bit.
+    """
     a = abs(z.real)
-    return 0.5 * (cmath.exp(z - a) + cmath.exp(-z - a))
+    exp = np.exp if isinstance(z, np.ndarray) else cmath.exp
+    grow, decay = exp(z - a), exp(-z - a)
+    return 0.5 * (grow + decay), 0.5 * (grow - decay)
 
 
-def _sinh_hat(z: complex) -> complex:
-    """sinh(z) / exp(|Re z|)."""
-    a = abs(z.real)
-    return 0.5 * (cmath.exp(z - a) - cmath.exp(-z - a))
+def _any(mask) -> bool:
+    return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
-def _as_frequency(lam: complex | ComplexFrequency) -> ComplexFrequency:
+def _as_frequency(lam: complex | np.ndarray | ComplexFrequency) -> ComplexFrequency:
     if isinstance(lam, ComplexFrequency):
         return lam
     return ComplexFrequency.of(lam)
@@ -152,24 +183,30 @@ def natural_log_scale(lam: complex | ComplexFrequency) -> float:
     return abs(freq.value.real) + freq.sqrt_value.real
 
 
+def _hat_terms(freq: ComplexFrequency, variant: BoundaryVariant):
+    """The factors of the scaled determinant and its derivative.
+
+    Returns (r, p, q, cosh_hat(r), sinh_hat(r), scale) with r = sqrt(lam),
+    (p, q) = (cosh_hat(lam), sinh_hat(lam)) for Neumann and swapped for
+    Dirichlet, and the common scale |Re lam| + |Re r|.
+    """
+    z, r = freq.value, freq.sqrt_value
+    cl, sl = _cosh_sinh_hat(z)
+    p, q = (cl, sl) if variant is BoundaryVariant.NEUMANN else (sl, cl)
+    return r, p, q, *_cosh_sinh_hat(r), abs(z.real) + abs(r.real)
+
+
 def char_fn_scaled(
-    lam: complex | ComplexFrequency, variant: BoundaryVariant
+    lam: complex | np.ndarray | ComplexFrequency, variant: BoundaryVariant
 ) -> ScaledValue:
     """Overflow-safe determinant evaluation as mantissa * exp(log_scale).
 
-    Total on the finite plane; |mantissa| lies in [1e-2, 1e2] unless the
-    value is exactly zero.
+    D = r p cosh(r) + q sinh(r) in the notation of ``_hat_terms``.  Total
+    on the finite plane; |mantissa| lies in [1e-2, 1e2] unless the value is
+    exactly zero.  ``lam`` is a point or an array of points.
     """
-    freq = _as_frequency(lam)
-    z, r = freq.value, freq.sqrt_value
-    cl, sl = _cosh_hat(z), _sinh_hat(z)
-    cr, sr = _cosh_hat(r), _sinh_hat(r)
-    scale = abs(z.real) + abs(r.real)
-    if variant is BoundaryVariant.NEUMANN:
-        m = r * cl * cr + sl * sr
-    else:
-        m = r * sl * cr + cl * sr
-    return _normalize(m, scale)
+    r, p, q, cr, sr, scale = _hat_terms(_as_frequency(lam), variant)
+    return _normalize(r * p * cr + q * sr, scale)
 
 
 def char_fn(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> complex:
@@ -189,7 +226,7 @@ def char_fn(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> comple
 
 
 def char_fn_deriv_scaled(
-    lam: complex | ComplexFrequency, variant: BoundaryVariant
+    lam: complex | np.ndarray | ComplexFrequency, variant: BoundaryVariant
 ) -> ScaledValue:
     """Scaled analytic derivative of the determinant.
 
@@ -198,22 +235,17 @@ def char_fn_deriv_scaled(
     Dirichlet: D'(lam) = (sinh lam + cosh lam) cosh(r)/(2r)
                          + r cosh(lam) cosh(r) + (3/2) sinh(lam) sinh(r)
 
-    with r = sqrt(lam).  Undefined at lam = 0 and on the branch cut.
+    with r = sqrt(lam), i.e. (p + q) cosh(r)/(2r) + r q cosh(r) + (3/2) p sinh(r)
+    in the notation of ``_hat_terms``.  Undefined at lam = 0 and on the
+    branch cut; an array containing such a point is rejected as a whole.
     """
     freq = _as_frequency(lam)
-    z, r = freq.value, freq.sqrt_value
-    if z == 0:
+    if _any(freq.value == 0):
         raise DegenerateInputError("derivative undefined at lam = 0")
-    if freq.on_cut:
+    if _any(freq.on_cut):
         raise DegenerateInputError("derivative undefined on the branch cut")
-    cl, sl = _cosh_hat(z), _sinh_hat(z)
-    cr, sr = _cosh_hat(r), _sinh_hat(r)
-    scale = abs(z.real) + abs(r.real)
-    if variant is BoundaryVariant.NEUMANN:
-        m = (cl + sl) * cr / (2.0 * r) + r * sl * cr + 1.5 * cl * sr
-    else:
-        m = (sl + cl) * cr / (2.0 * r) + r * cl * cr + 1.5 * sl * sr
-    return _normalize(m, scale)
+    r, p, q, cr, sr, scale = _hat_terms(freq, variant)
+    return _normalize((p + q) * cr / (2.0 * r) + r * q * cr + 1.5 * p * sr, scale)
 
 
 def char_fn_deriv(
@@ -269,8 +301,10 @@ def fg_split(lam: complex | ComplexFrequency) -> tuple[complex, complex]:
             pole = -((k_near + 0.5) * math.pi) ** 2
             if abs(z - pole) < _POLE_TOL:
                 raise PoleError(f"lam within {_POLE_TOL} of tanh-branch pole at {pole:g}")
-    f_val = _cosh_hat(z) / _sinh_hat(z)
-    g_val = _sinh_hat(r) / (_cosh_hat(r) * r) if r != 0 else 1.0 + 0j
+    cz, sz = _cosh_sinh_hat(z)
+    cr, sr = _cosh_sinh_hat(r)
+    f_val = cz / sz
+    g_val = sr / (cr * r) if r != 0 else 1.0 + 0j
     return f_val, g_val
 
 

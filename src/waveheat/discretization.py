@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +30,8 @@ __all__ = [
     "GridSpec",
     "DiscreteGenerator",
     "DomainDatum",
+    "arpack_start",
     "assemble",
-    "gram_matrices",
     "make_domain_data",
 ]
 
@@ -43,13 +42,10 @@ class GridSpec:
 
     n_wave: int
     n_heat: int
-    scheme_order: int = 2
 
     def __post_init__(self):
         if self.n_wave < 8 or self.n_heat < 8:
             raise ValueError("grids need at least 8 cells per segment")
-        if self.scheme_order != 2:
-            raise ValueError("only the second-order scheme is implemented")
 
     @property
     def h_wave(self) -> float:
@@ -77,6 +73,16 @@ def _heat_stiffness(n: int, h: float) -> sp.csr_matrix:
     main[0] = 1.0 / h
     off = np.full(n - 1, -1.0 / h)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def arpack_start(dim: int) -> np.ndarray:
+    """Fixed ARPACK start vector, a function of the dimension only.
+
+    ARPACK otherwise starts from a random vector, which moves converged
+    eigenvalues in the last digits from one call to the next.
+    """
+    rng = np.random.default_rng(dim)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def _trapz_weights(n: int, h: float) -> np.ndarray:
@@ -161,16 +167,9 @@ class DiscreteGenerator:
                 k=min(k, self.dim - 2),
                 sigma=target,
                 return_eigenvectors=False,
+                v0=arpack_start(self.dim),
             )
         return ev[np.argsort(np.abs(ev - target))][:k]
-
-    def dump_matrix(self, path: str | Path) -> None:
-        """Write the generator in (row, col, value) coordinate text format."""
-        coo = self.A.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# {self.dim} {self.dim} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17e}\n")
 
 
 def _build_parts(grid: GridSpec, variant: BoundaryVariant):
@@ -226,14 +225,6 @@ def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
         A=A, W=W.tocsr(), W_E=W_E.tocsr(), W_diss=W_diss.tocsr(),
         grid=grid, variant=variant,
     )
-
-
-def gram_matrices(
-    grid: GridSpec, variant: BoundaryVariant
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The (W, W_E) pair: full-norm and seminorm Gram matrices."""
-    gen = assemble(grid, variant)
-    return gen.W, gen.W_E
 
 
 # ---------------------------------------------------------------------------

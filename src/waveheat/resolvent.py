@@ -20,7 +20,6 @@ works for either variant through the assembled generator.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,10 +32,11 @@ import scipy.sparse.linalg as spla
 from .characteristic import (
     BoundaryVariant,
     ScaledValue,
+    _cosh_sinh_hat,
     char_fn_scaled,
     principal_sqrt,
 )
-from .discretization import DiscreteGenerator, GridSpec, assemble
+from .discretization import DiscreteGenerator, GridSpec, arpack_start, assemble
 from .errors import (
     DegenerateInputError,
     OverflowEvaluationError,
@@ -208,9 +208,8 @@ def _coefficients(
     s: float, p: complex, q: complex
 ) -> tuple[complex, complex, ScaledValue, np.ndarray]:
     z = _sqrt_is(s)
-    r_real = z.real
-    cosh_hat = 0.5 * (cmath.exp(z - r_real) + cmath.exp(-z - r_real))
-    sinh_hat = 0.5 * (cmath.exp(z - r_real) - cmath.exp(-z - r_real))
+    r_real = z.real  # = |Re z|, the scale the hat functions divide out
+    cosh_hat, sinh_hat = _cosh_sinh_hat(z)
     det = char_fn_scaled(complex(0.0, s), BoundaryVariant.NEUMANN).times(1j * s)
     if det.abs_log() < math.log(1e-300):
         raise SingularSystemError(f"scaled determinant underflow at s = {s}")
@@ -322,7 +321,8 @@ def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
         )[0]
     else:
         mu = spla.eigsh(
-            C, k=1, M=W.tocsc(), sigma=0, which="LM", return_eigenvectors=False
+            C, k=1, M=W.tocsc(), sigma=0, which="LM", return_eigenvectors=False,
+            v0=arpack_start(disc.dim),
         )[0]
     return 1.0 / math.sqrt(float(np.real(mu)))
 

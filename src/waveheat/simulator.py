@@ -49,12 +49,9 @@ class SimulationConfig:
     t_max: float
     grid: GridSpec
     variant: BoundaryVariant
-    integrator: str = "implicit_trapezoidal"
     output_stride: int = 1
 
     def __post_init__(self):
-        if self.integrator != "implicit_trapezoidal":
-            raise ValueError("only the implicit trapezoidal integrator is available")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.dt > 0.5 * self.grid.h_wave + 1e-15:

@@ -11,11 +11,12 @@ exactly one root.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .characteristic import (
     BoundaryVariant,
@@ -115,13 +116,9 @@ def polish(seed: EigenvalueSeed, variant: BoundaryVariant) -> EigenvalueRecord:
     """Newton-polish a seed into an eigenvalue record.
 
     Escaping the seed disk is not an error (localization is only guaranteed
-    for large |n|); it is recorded in ``contained``.  For stubborn small-|n|
-    seeds a coarse scan of the disk supplies alternative starting points
-    before giving up.
+    for large |n|); it is recorded in ``contained``.
     """
     result = _newton(seed.center, variant)
-    if result is None:
-        result = _rescue_from_disk(seed, variant)
     if result is None:
         raise NoConvergenceError(
             f"Newton did not converge from seed n={seed.n} ({variant.value})"
@@ -135,26 +132,6 @@ def polish(seed: EigenvalueSeed, variant: BoundaryVariant) -> EigenvalueRecord:
         contained=abs(lam - seed.center) < seed.radius,
         variant=variant,
     )
-
-
-def _rescue_from_disk(
-    seed: EigenvalueSeed, variant: BoundaryVariant
-) -> tuple[complex, int] | None:
-    # rank interior sample points by scaled residual and retry Newton
-    candidates = []
-    for k in range(48):
-        rho = seed.radius * (0.25 + 0.7 * ((k * 5) % 12) / 12.0)
-        ang = 2.0 * math.pi * k / 48.0
-        pt = seed.center + rho * cmath.exp(1j * ang)
-        if pt.imag == 0.0 and pt.real <= 0.0:
-            continue
-        candidates.append((relative_residual(pt, variant), pt))
-    candidates.sort(key=lambda c: c[0])
-    for _, pt in candidates[:6]:
-        result = _newton(pt, variant)
-        if result is not None:
-            return result
-    return None
 
 
 def _cut_intersects_circle(center: complex, radius: float) -> bool:
@@ -175,7 +152,7 @@ def count_zeros_contour(
 
     Trapezoidal quadrature of D'/D around the contour, with the node count
     doubled until the rounded winding number is stable across two successive
-    refinement levels.
+    refinement levels.  Each level is evaluated as one array of nodes.
     """
     if _cut_intersects_circle(center, radius):
         raise CutIntersectionError(
@@ -184,25 +161,20 @@ def count_zeros_contour(
     prev_int: int | None = None
     n = n_start
     while n <= n_cap:
-        total = 0j
-        min_dist = math.inf
-        for j in range(n):
-            lam = center + radius * cmath.exp(2j * math.pi * j / n)
-            num = char_fn_scaled(lam, variant)
-            den = char_fn_deriv_scaled(lam, variant)
-            if num.mantissa == 0:
-                raise ContourTooCloseError(f"zero on the contour at {lam}")
-            ratio = (den.mantissa / num.mantissa) * math.exp(
-                den.log_scale - num.log_scale
-            )
-            # |D/D'| approximates the distance to the nearest zero
-            min_dist = min(min_dist, 1.0 / max(abs(ratio), 1e-300))
-            total += ratio * (lam - center)
+        lam = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
+        num = char_fn_scaled(lam, variant)
+        den = char_fn_deriv_scaled(lam, variant)
+        on_zero = num.mantissa == 0
+        if on_zero.any():
+            raise ContourTooCloseError(f"zero on the contour at {lam[on_zero][0]}")
+        ratio = (den.mantissa / num.mantissa) * np.exp(den.log_scale - num.log_scale)
+        # |D/D'| approximates the distance to the nearest zero
+        min_dist = float(np.min(1.0 / np.maximum(np.abs(ratio), 1e-300)))
         if min_dist < 1e-6:
             raise ContourTooCloseError(
                 f"zero within {min_dist:.2e} of the contour (tolerance 1e-6)"
             )
-        winding = total / n
+        winding = complex(np.sum(ratio * (lam - center))) / n
         if abs(winding.imag) < 0.25 and abs(winding.real - round(winding.real)) < 0.25:
             cur = round(winding.real)
             if prev_int is not None and cur == prev_int:

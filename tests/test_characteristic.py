@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from waveheat.characteristic import (
     BoundaryVariant,
     ComplexFrequency,
     char_fn,
     char_fn_deriv,
+    char_fn_deriv_scaled,
     char_fn_scaled,
     det_growth_ratio,
     fg_split,
@@ -105,6 +107,46 @@ class TestCharFnScaled:
             sv = char_fn_scaled(lam, variant)
             assert sv.value() == pytest.approx(direct, rel=1e-12)
             assert sv.mantissa == 0 or 1e-2 <= abs(sv.mantissa) <= 1e2
+
+
+_coord = st.floats(-1000.0, 1000.0)
+# general points, points on the cut (both signs of zero) and the origin
+_points = st.lists(
+    st.one_of(
+        st.builds(complex, _coord, _coord),
+        st.builds(complex, st.floats(-1000.0, 0.0), st.sampled_from([0.0, -0.0])),
+        st.just(0j),
+    ),
+    min_size=1, max_size=16,
+)
+
+
+def _assert_pointwise(array_value, point_values):
+    for m, ls, point in zip(array_value.mantissa, array_value.log_scale, point_values):
+        if point.mantissa == 0:
+            assert m == 0
+            continue
+        aligned = m * math.exp(ls - point.log_scale)
+        assert abs(aligned - point.mantissa) <= 1e-14 * abs(point.mantissa)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @given(points=_points)
+    def test_matches_point_evaluation(self, variant, points):
+        lam = np.array(points)
+        _assert_pointwise(
+            char_fn_scaled(lam, variant), [char_fn_scaled(p, variant) for p in points]
+        )
+        regular = [p for p in points if p != 0 and not (p.imag == 0 and p.real < 0)]
+        if len(regular) < len(points):
+            with pytest.raises(DegenerateInputError):
+                char_fn_deriv_scaled(lam, variant)
+        if regular:
+            _assert_pointwise(
+                char_fn_deriv_scaled(np.array(regular), variant),
+                [char_fn_deriv_scaled(p, variant) for p in regular],
+            )
 
 
 class TestDerivative:

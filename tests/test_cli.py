@@ -58,8 +58,10 @@ class TestResolventCommand:
         assert main(["resolvent", "--s-min", "1", "--out", str(tmp_path)]) == 1
 
     def test_deterministic_output(self, tmp_path):
+        # s = 300 needs dimension 2823, above both dense cutoffs, so the
+        # ARPACK paths of snapping and the discrete norm run as well
         for sub in ("a", "b"):
-            code = main(["resolvent", "--s-min", "10", "--s-max", "40",
+            code = main(["resolvent", "--s-min", "10", "--s-max", "300",
                          "--s-points", "3", "--trials", "5", "--seed", "11",
                          "--out", str(tmp_path / sub)])
             assert code == 0

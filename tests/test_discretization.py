@@ -7,7 +7,6 @@ from waveheat.characteristic import BoundaryVariant
 from waveheat.discretization import (
     GridSpec,
     assemble,
-    gram_matrices,
     make_domain_data,
 )
 from waveheat.errors import InfeasibleProfileError
@@ -34,7 +33,6 @@ class TestGridSpec:
         g = GridSpec(50, 80)
         assert g.h_wave == pytest.approx(0.02)
         assert g.h_heat == pytest.approx(0.0125)
-        assert g.scheme_order == 2
 
 
 class TestAssembly:
@@ -104,13 +102,6 @@ class TestAssembly:
             assert np.allclose(back.u, u) and np.allclose(back.v, v)
             assert np.allclose(back.w, w)
 
-    def test_matrix_dump(self, tmp_path):
-        gen = assemble(GridSpec(8, 8), NEU)
-        path = tmp_path / "A.coo"
-        gen.dump_matrix(path)
-        header = path.read_text().splitlines()[0].split()
-        assert header[1] == header[2] == str(gen.dim)
-
 
 class TestGramMatrices:
     def test_constant_state_norms(self):
@@ -120,8 +111,8 @@ class TestGramMatrices:
         assert z @ (gen.W @ z) == pytest.approx(1.0, rel=1e-12)
 
     def test_w_minus_we_positive_semidefinite(self):
-        W, W_E = gram_matrices(GridSpec(32, 32), NEU)
-        diff = (W - W_E).toarray()
+        gen = assemble(GridSpec(32, 32), NEU)
+        diff = (gen.W - gen.W_E).toarray()
         assert np.min(np.linalg.eigvalsh(diff)) >= -1e-14
 
     def test_sine_state_norm_second_order(self):

@@ -231,6 +231,15 @@ class TestNorms:
         sparse_norm = 1.0 / math.sqrt(float(np.real(mu)))
         assert sparse_norm == pytest.approx(dense, rel=1e-6)
 
+    def test_arpack_results_repeat_exactly(self):
+        # dimension 1501 lies above both dense cutoffs (1500 and 1200)
+        disc = assemble(GridSpec(600, 300), NEU)
+        assert disc.dim > 1500
+        first = disc.eigenvalues_near(150j), resolvent_norm_discrete(150.0, disc)
+        second = disc.eigenvalues_near(150j), resolvent_norm_discrete(150.0, disc)
+        assert np.array_equal(first[0], second[0])
+        assert first[1] == second[1]
+
     def test_negative_frequency_symmetry(self):
         grid = required_grid(25.0, factor=2.0)
         disc = assemble(grid, NEU)

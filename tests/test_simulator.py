@@ -51,12 +51,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(dt=1e-3, t_max=5.0, grid=GRID, variant=NEU)
 
-    def test_integrator_fixed(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(
-                dt=1e-3, t_max=20.0, grid=GRID, variant=NEU, integrator="rk4"
-            )
-
 
 class TestStep:
     def test_kernel_vector_fixed_point(self):
