@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .characteristic import BoundaryVariant
-from .errors import InfeasibleProfileError
+from .errors import InfeasibleProfileError, NoConvergenceError, SolveFailureError
 from .state import StateVector, heat_nodes, wave_nodes
 
 __all__ = [
@@ -158,10 +157,11 @@ class DiscreteGenerator:
         return math.sqrt(max(float(np.real(np.conj(z) @ (self.W @ z))), 0.0))
 
     def eigenvalues_near(self, target: complex, k: int = 6) -> np.ndarray:
-        """Discrete eigenvalues closest to ``target``, nearest first."""
-        if self.dim <= 1500:
-            ev = scipy.linalg.eigvals(self.A.toarray())
-        else:
+        """Discrete eigenvalues closest to ``target``, nearest first.
+
+        A target on an eigenvalue (0 for the Neumann kernel) is singular.
+        """
+        try:
             ev = spla.eigs(
                 sp.csc_matrix(self.A, dtype=complex),
                 k=min(k, self.dim - 2),
@@ -169,6 +169,10 @@ class DiscreteGenerator:
                 return_eigenvectors=False,
                 v0=arpack_start(self.dim),
             )
+        except spla.ArpackError as exc:
+            raise NoConvergenceError(f"eigenvalues near {target}: {exc}") from exc
+        except RuntimeError as exc:  # splu: A - target is exactly singular
+            raise SolveFailureError(f"eigenvalues near {target}: {exc}") from exc
         return ev[np.argsort(np.abs(ev - target))][:k]
 
 

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -39,9 +38,11 @@ from .characteristic import (
 from .discretization import DiscreteGenerator, GridSpec, arpack_start, assemble
 from .errors import (
     DegenerateInputError,
+    NoConvergenceError,
     OverflowEvaluationError,
     ResolutionError,
     SingularSystemError,
+    SolveFailureError,
 )
 from .state import DataTriple, StateVector, heat_nodes, wave_nodes
 
@@ -229,15 +230,19 @@ def _coefficients(
     return a, b, det, M
 
 
-def solve_coefficients(s: float, y: DataTriple) -> ResolventCoefficients:
-    """Boundary data, interface matrix and the constants (a, b) at frequency s."""
+def _check_frequency(s: float) -> None:
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
     if abs(s) < 2.0:
         warnings.warn(
             f"|s| = {abs(s):g} < 2 is outside the calibrated frequency range",
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def solve_coefficients(s: float, y: DataTriple) -> ResolventCoefficients:
+    """Boundary data, interface matrix and the constants (a, b) at frequency s."""
+    _check_frequency(s)
     u_vals, u_ders = _wave_profiles(s, y)
     w_vals, w_ders = _heat_profiles(s, y)
     p = complex(y.f[-1]) + 1j * s * u_vals[-1] + w_vals[0]
@@ -255,13 +260,7 @@ def apply_resolvent(s: float, y: DataTriple) -> StateVector:
     differencing, so the state norm uses the exact H^1 seminorm of the
     closed form.
     """
-    if s == 0:
-        raise DegenerateInputError("frequency s must be nonzero")
-    if abs(s) < 2.0:
-        warnings.warn(
-            f"|s| = {abs(s):g} < 2 is outside the calibrated frequency range",
-            stacklevel=2,
-        )
+    _check_frequency(s)
     u_part, u_der_part = _wave_profiles(s, y)
     w_part, w_der_part = _heat_profiles(s, y)
     p = complex(y.f[-1]) + 1j * s * u_part[-1] + w_part[0]
@@ -307,23 +306,37 @@ def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
 
     Computed as 1/sqrt(mu_min) where mu_min is the smallest eigenvalue of
     the Hermitian pencil B^H W B x = mu W x with B = is I - A_h, i.e. the
-    smallest singular value of W^(1/2) B W^(-1/2).
+    smallest singular value of W^(1/2) B W^(-1/2).  Shift-invert applies
+    (B^H W B)^(-1) = B^(-1) W^(-1) B^(-H) through the LU factors of B and
+    W; factoring the formed product would square B's condition number.
     """
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
     _check_resolution(s, disc.grid)
-    B = (1j * s * sp.identity(disc.dim, format="csr") - disc.A).tocsr()
+    B = (1j * s * sp.identity(disc.dim, format="csc") - disc.A).tocsc()
     W = disc.W
-    C = (B.getH() @ W @ B).tocsc()
-    if disc.dim <= 1200:
-        mu = scipy.linalg.eigh(
-            C.toarray(), W.toarray(), subset_by_index=[0, 0], eigvals_only=True
-        )[0]
-    else:
+    try:
+        factors = [spla.splu(B), spla.splu(sp.csc_matrix(W, dtype=complex))]
+    except RuntimeError as exc:  # B is exactly singular
+        raise SolveFailureError(f"resolvent norm at s = {s}: {exc}") from exc
+
+    def gram_inv(x):
+        lu_b, lu_w = factors
+        return lu_b.solve(lu_w.solve(lu_b.solve(x, trans="H")))
+
+    try:
         mu = spla.eigsh(
-            C, k=1, M=W.tocsc(), sigma=0, which="LM", return_eigenvectors=False,
+            spla.LinearOperator(B.shape, lambda x: B.getH() @ (W @ (B @ x)), dtype=complex),
+            k=1, M=W, sigma=0, which="LM", return_eigenvectors=False,
+            OPinv=spla.LinearOperator(B.shape, gram_inv, dtype=complex),
             v0=arpack_start(disc.dim),
         )[0]
+    except spla.ArpackError as exc:
+        raise NoConvergenceError(f"resolvent norm at s = {s}: {exc}") from exc
+    finally:
+        # ARPACK holds OPinv in a reference cycle; free the factors now,
+        # not at the next garbage collection
+        factors.clear()
     return 1.0 / math.sqrt(float(np.real(mu)))
 
 

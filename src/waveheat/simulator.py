@@ -100,22 +100,9 @@ class CrankNicolsonStepper:
         return out
 
 
-_STEPPER_CACHE: dict[tuple, CrankNicolsonStepper] = {}
-
-
-def _stepper_for(config: SimulationConfig) -> CrankNicolsonStepper:
-    key = (config.grid.n_wave, config.grid.n_heat, config.variant, config.dt)
-    if key not in _STEPPER_CACHE:
-        if len(_STEPPER_CACHE) > 8:
-            _STEPPER_CACHE.clear()
-        disc = assemble(config.grid, config.variant)
-        _STEPPER_CACHE[key] = CrankNicolsonStepper(disc, config.dt)
-    return _STEPPER_CACHE[key]
-
-
 def step(state: StateVector, config: SimulationConfig) -> StateVector:
     """One implicit trapezoidal step of the packed state."""
-    stepper = _stepper_for(config)
+    stepper = CrankNicolsonStepper(assemble(config.grid, config.variant), config.dt)
     z = stepper.disc.pack_state(state)
     return stepper.disc.unpack(stepper.advance(z))
 
@@ -126,8 +113,8 @@ def run(x0: StateVector, config: SimulationConfig) -> EnergySeries:
     The per-interval dissipation is accumulated from the midpoint states,
     for which the trapezoidal rule satisfies the energy balance exactly.
     """
-    stepper = _stepper_for(config)
-    disc = stepper.disc
+    disc = assemble(config.grid, config.variant)
+    stepper = CrankNicolsonStepper(disc, config.dt)
     z = disc.pack_state(x0)
     z = z.astype(complex) if np.iscomplexobj(z) else z.astype(float)
     n_steps = int(round(config.t_max / config.dt))

@@ -138,7 +138,7 @@ def _cut_intersects_circle(center: complex, radius: float) -> bool:
     # the cut is (-inf, 0]; include the origin (branch point) in the exclusion
     if abs(center) <= radius:
         return True
-    if abs(center.imag) >= radius:
+    if abs(center.imag) > radius:
         return False
     reach = math.sqrt(radius**2 - center.imag**2)
     return center.real - reach < 0.0

@@ -71,11 +71,6 @@ class DataTriple:
     def xi_heat(self) -> np.ndarray:
         return heat_nodes(self.n_heat)
 
-    @classmethod
-    def from_callables(cls, f, g, h, n_wave: int, n_heat: int) -> "DataTriple":
-        xw, xh = wave_nodes(n_wave), heat_nodes(n_heat)
-        return cls(f=np.vectorize(f)(xw), g=np.vectorize(g)(xw), h=np.vectorize(h)(xh))
-
     @property
     def norm_X(self) -> float:
         """H^1 x L^2 x L^2 norm with difference-quotient derivative for f."""

@@ -54,12 +54,27 @@ class TestResolventCommand:
         out = capsys.readouterr().out
         assert "fitted log-log slope" in out
 
+    def test_arpack_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+        import scipy.sparse.linalg as spla
+
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("injected", np.array([]), np.array([]))
+
+        monkeypatch.setattr(spla, "eigs", fail)
+        code = main(["resolvent", "--s-min", "10", "--s-max", "20",
+                     "--s-points", "2", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_bad_frequency_range_exits_one(self, tmp_path):
         assert main(["resolvent", "--s-min", "1", "--out", str(tmp_path)]) == 1
 
     def test_deterministic_output(self, tmp_path):
-        # s = 300 needs dimension 2823, above both dense cutoffs, so the
-        # ARPACK paths of snapping and the discrete norm run as well
+        # two sweeps up to s = 300 (dimension 2823) through the ARPACK
+        # paths of snapping and the discrete norm
         for sub in ("a", "b"):
             code = main(["resolvent", "--s-min", "10", "--s-max", "300",
                          "--s-points", "3", "--trials", "5", "--seed", "11",

@@ -9,7 +9,7 @@ from waveheat.discretization import (
     assemble,
     make_domain_data,
 )
-from waveheat.errors import InfeasibleProfileError
+from waveheat.errors import InfeasibleProfileError, SolveFailureError
 from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 from conftest import NEUMANN_ROOTS
@@ -77,6 +77,22 @@ class TestAssembly:
             gaps.append(float(np.abs(gen.eigenvalues_near(0.0, k=1)).min()))
         assert min(gaps) > 0.5
         assert abs(gaps[0] - gaps[1]) < 0.05 * gaps[1]
+
+    def test_eigenvalues_near_match_dense(self):
+        import scipy.linalg
+
+        for variant in (NEU, DIR):
+            gen = assemble(GridSpec(24, 16), variant)
+            dense = scipy.linalg.eigvals(gen.A.toarray())
+            for target in (0.5 + 3j, -2.0 + 10j, NEUMANN_ROOTS[2]):
+                near = gen.eigenvalues_near(target, k=4)
+                expected = dense[np.argsort(np.abs(dense - target))][:4]
+                assert np.abs(near - expected).max() <= 1e-10 * abs(target)
+
+    def test_neumann_kernel_target_is_singular(self):
+        gen = assemble(GridSpec(64, 64), NEU)
+        with pytest.raises(SolveFailureError):
+            gen.eigenvalues_near(0.0)
 
     def test_exact_discrete_dissipativity(self, rng):
         for variant in (NEU, DIR):

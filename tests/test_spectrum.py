@@ -129,6 +129,9 @@ class TestContourCounts:
             count_zeros_contour(s0.center, s0.radius, NEU)
         with pytest.raises(CutIntersectionError):
             count_zeros_contour(0.5 + 0j, 1.0, NEU)  # origin inside
+        for center in (-5 + 1j, -5 - 1j):  # tangent to the cut
+            with pytest.raises(CutIntersectionError):
+                count_zeros_contour(center, 1.0, NEU)
 
     def test_zero_near_contour_guard(self):
         root = NEUMANN_ROOTS[1]
