@@ -308,7 +308,7 @@ def fg_split(lam: complex | ComplexFrequency) -> tuple[complex, complex]:
     return f_val, g_val
 
 
-def det_growth_ratio(s: float) -> float:
+def det_growth_ratio(s: float | np.ndarray) -> float | np.ndarray:
     """Normalized size of the determinant along the imaginary axis.
 
     Returns |D(i s)| * exp(-|s|^(1/2)/sqrt(2)) for the Neumann determinant,
@@ -318,9 +318,15 @@ def det_growth_ratio(s: float) -> float:
 
     relative to its leading exponential growth.  Bounded away from zero for
     |s| >= 2, which is what keeps the closed-form resolvent coefficients
-    under control at high frequency.
+    under control at high frequency.  ``s`` is a point or an array of
+    points; an array with any |s| < 2 or NaN is rejected as a whole.
     """
-    if abs(s) < 2.0:
-        raise DomainError(f"growth ratio requires |s| >= 2, got {s}")
-    sv = char_fn_scaled(complex(0.0, float(s)), BoundaryVariant.NEUMANN)
-    return math.exp(sv.abs_log() - math.sqrt(abs(s)) / math.sqrt(2.0))
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    low = s_arr[~(np.abs(s_arr) >= 2.0)]  # NaN fails the guard too
+    if low.size:
+        raise DomainError(f"growth ratio requires |s| >= 2, got {low[0]}")
+    sv = char_fn_scaled(1j * s_arr, BoundaryVariant.NEUMANN)
+    ratio = np.exp(
+        np.log(np.abs(sv.mantissa)) + sv.log_scale - np.sqrt(np.abs(s_arr)) / math.sqrt(2.0)
+    )
+    return float(ratio[0]) if np.ndim(s) == 0 else ratio

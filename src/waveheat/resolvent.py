@@ -99,59 +99,16 @@ def _gl_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts.ravel(), wts.ravel()
 
 
-def particular_wave(
-    s: float, f: np.ndarray, g: np.ndarray, xi: float
-) -> tuple[complex, complex]:
-    """Particular integral of the forced oscillator on [-1, xi].
+def particular_wave(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
+    """Particular integral of the forced oscillator at every wave node.
 
     Returns (U, U') with
         U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
         U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
-    Data are piecewise-linear node functions on the wave grid.
+    for the piecewise-linear data, via cumulative cos/sin moments.
     """
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
-    if not -1.0 <= xi <= 0.0:
-        raise ValueError(f"xi must lie in [-1, 0], got {xi}")
-    if xi == -1.0:
-        return 0j, 0j
-    grid = wave_nodes(len(f) - 1)
-    pts, wts = _gl_points(_panels(-1.0, xi, grid, abs(s)))
-    phi = 1j * s * _interp(pts, grid, np.asarray(f)) + _interp(pts, grid, np.asarray(g))
-    u_val = np.sum(wts * np.sin(s * (xi - pts)) * phi) / s
-    u_der = np.sum(wts * np.cos(s * (xi - pts)) * phi)
-    return complex(u_val), complex(u_der)
-
-
-def particular_heat(s: float, h: np.ndarray, xi: float) -> tuple[complex, complex]:
-    """Particular integral of the forced diffusion operator on [xi, 1].
-
-    Returns (W, W') with
-        W(xi)  = -(1/sqrt(is)) int_xi^1 sinh(sqrt(is) (r - xi)) h(r) dr
-        W'(xi) = int_xi^1 cosh(sqrt(is) (r - xi)) h(r) dr
-    The exponential growth of the kernel is representable up to
-    Re sqrt(is) ~ 600; beyond that the call is rejected.
-    """
-    if s == 0:
-        raise DegenerateInputError("frequency s must be nonzero")
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi must lie in [0, 1], got {xi}")
-    if xi == 1.0:
-        return 0j, 0j
-    z = _sqrt_is(s)
-    grid = heat_nodes(len(h) - 1)
-    pts, wts = _gl_points(_panels(xi, 1.0, grid, abs(z)))
-    hv = _interp(pts, grid, np.asarray(h))
-    grow = np.exp(z * (pts - xi))
-    sinh_k = 0.5 * (grow - 1.0 / grow)
-    cosh_k = 0.5 * (grow + 1.0 / grow)
-    w_val = -np.sum(wts * sinh_k * hv) / z
-    w_der = np.sum(wts * cosh_k * hv)
-    return complex(w_val), complex(w_der)
-
-
-def _wave_profiles(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
-    """U and U' at every wave node via cumulative cos/sin moments."""
     grid = y.xi_wave
     edges = _panels(-1.0, 0.0, grid, abs(s))
     pts, wts = _gl_points(edges)
@@ -171,8 +128,18 @@ def _wave_profiles(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
     return u_vals, u_ders
 
 
-def _heat_profiles(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
-    """W and W' at every heat node via suffix moments of e^{+-z r} h(r)."""
+def particular_heat(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
+    """Particular integral of the forced diffusion operator at every heat node.
+
+    Returns (W, W') with
+        W(xi)  = -(1/sqrt(is)) int_xi^1 sinh(sqrt(is) (r - xi)) h(r) dr
+        W'(xi) = int_xi^1 cosh(sqrt(is) (r - xi)) h(r) dr
+    via suffix moments of e^{+-z r} h(r), z = sqrt(is).  The rescaled
+    kernels are representable up to Re sqrt(is) ~ 600; beyond that the
+    call is rejected.
+    """
+    if s == 0:
+        raise DegenerateInputError("frequency s must be nonzero")
     z = _sqrt_is(s)
     grid = y.xi_heat
     edges = _panels(0.0, 1.0, grid, abs(z))
@@ -205,9 +172,26 @@ class ResolventCoefficients:
     rhs: np.ndarray
 
 
-def _coefficients(
-    s: float, p: complex, q: complex
-) -> tuple[complex, complex, ScaledValue, np.ndarray]:
+def _check_frequency(s: float) -> None:
+    if s == 0:
+        raise DegenerateInputError("frequency s must be nonzero")
+    if abs(s) < 2.0:
+        warnings.warn(
+            f"|s| = {abs(s):g} < 2 is outside the calibrated frequency range",
+            stacklevel=3,
+        )
+
+
+def _interface_solve(s: float, y: DataTriple):
+    """Node particular integrals and the interface system at frequency s.
+
+    Returns (coefficients, (U, U'), (W, W')); the profiles are computed
+    once and shared by ``solve_coefficients`` and ``apply_resolvent``.
+    """
+    wave, heat = particular_wave(s, y), particular_heat(s, y)
+    (u_vals, u_ders), (w_vals, w_ders) = wave, heat
+    p = complex(y.f[-1]) + 1j * s * u_vals[-1] + w_vals[0]
+    q = -u_ders[-1] - w_ders[0]
     z = _sqrt_is(s)
     r_real = z.real  # = |Re z|, the scale the hat functions divide out
     cosh_hat, sinh_hat = _cosh_sinh_hat(z)
@@ -227,30 +211,16 @@ def _coefficients(
         ],
         dtype=complex,
     )
-    return a, b, det, M
-
-
-def _check_frequency(s: float) -> None:
-    if s == 0:
-        raise DegenerateInputError("frequency s must be nonzero")
-    if abs(s) < 2.0:
-        warnings.warn(
-            f"|s| = {abs(s):g} < 2 is outside the calibrated frequency range",
-            stacklevel=3,
-        )
+    co = ResolventCoefficients(
+        s=s, M=M, detM=det, a=a, b=b, rhs=np.array([p, q], dtype=complex)
+    )
+    return co, wave, heat
 
 
 def solve_coefficients(s: float, y: DataTriple) -> ResolventCoefficients:
     """Boundary data, interface matrix and the constants (a, b) at frequency s."""
     _check_frequency(s)
-    u_vals, u_ders = _wave_profiles(s, y)
-    w_vals, w_ders = _heat_profiles(s, y)
-    p = complex(y.f[-1]) + 1j * s * u_vals[-1] + w_vals[0]
-    q = -u_ders[-1] - w_ders[0]
-    a, b, det, M = _coefficients(s, p, q)
-    return ResolventCoefficients(
-        s=s, M=M, detM=det, a=a, b=b, rhs=np.array([p, q], dtype=complex)
-    )
+    return _interface_solve(s, y)[0]
 
 
 def apply_resolvent(s: float, y: DataTriple) -> StateVector:
@@ -261,17 +231,13 @@ def apply_resolvent(s: float, y: DataTriple) -> StateVector:
     closed form.
     """
     _check_frequency(s)
-    u_part, u_der_part = _wave_profiles(s, y)
-    w_part, w_der_part = _heat_profiles(s, y)
-    p = complex(y.f[-1]) + 1j * s * u_part[-1] + w_part[0]
-    q = -u_der_part[-1] - w_der_part[0]
-    a, b, _, _ = _coefficients(s, p, q)
+    co, (u_part, u_der_part), (w_part, _) = _interface_solve(s, y)
     xw, xh = y.xi_wave, y.xi_heat
     z = _sqrt_is(s)
-    u = a * np.cos(s * (xw + 1.0)) - u_part
-    u_prime = -s * a * np.sin(s * (xw + 1.0)) - u_der_part
+    u = co.a * np.cos(s * (xw + 1.0)) - u_part
+    u_prime = -s * co.a * np.sin(s * (xw + 1.0)) - u_der_part
     v = 1j * s * u - y.f
-    w = -b * np.sinh(z * (1.0 - xh)) + w_part
+    w = -co.b * np.sinh(z * (1.0 - xh)) + w_part
     return StateVector(
         u=u, v=v, w=w, variant=BoundaryVariant.NEUMANN, u_prime=u_prime
     )

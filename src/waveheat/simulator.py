@@ -264,7 +264,7 @@ def decade_slopes(series: EnergySeries) -> list[tuple[float, float]]:
     return out
 
 
-def write_energy_csv(series: EnergySeries, path, stride: int = 1) -> None:
+def write_energy_csv(series: EnergySeries, path) -> None:
     import csv
 
     ts, es = series.times, series.energies
@@ -278,7 +278,7 @@ def write_energy_csv(series: EnergySeries, path, stride: int = 1) -> None:
         for i in range(2, len(ts) - 2):
             if pos[i - 2 : i + 3].all() and ts[i - 2] > 0:
                 logs[i] = np.polyfit(lt[i - 2 : i + 3], le[i - 2 : i + 3], 1)[0]
-        for i in range(0, len(ts), stride):
+        for i in range(len(ts)):
             dt_int = ts[i] - ts[i - 1] if i > 0 else math.nan
             rate = series.dissipation[i] / dt_int if i > 0 else 0.0
             phi = series.phi[i] if series.phi is not None else math.nan

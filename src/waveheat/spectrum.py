@@ -48,6 +48,7 @@ __all__ = [
 NEWTON_RESIDUAL_TOL = 1e-12
 NEWTON_STEP_TOL = 1e-13
 NEWTON_MAX_ITERS = 50
+CONTOUR_NODE_CAP = 262144  # largest refinement level of the winding count
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,7 @@ def _cut_intersects_circle(center: complex, radius: float) -> bool:
 
 
 def count_zeros_contour(
-    center: complex, radius: float, variant: BoundaryVariant,
-    n_start: int = 256, n_cap: int = 262144,
+    center: complex, radius: float, variant: BoundaryVariant, n_start: int = 256
 ) -> int:
     """Argument-principle zero count of the determinant inside a circle.
 
@@ -160,7 +160,7 @@ def count_zeros_contour(
         )
     prev_int: int | None = None
     n = n_start
-    while n <= n_cap:
+    while n <= CONTOUR_NODE_CAP:
         lam = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
         num = char_fn_scaled(lam, variant)
         den = char_fn_deriv_scaled(lam, variant)
@@ -184,7 +184,7 @@ def count_zeros_contour(
             prev_int = None
         n *= 2
     raise NoConvergenceError(
-        f"winding number failed to stabilize below {n_cap} contour nodes"
+        f"winding number failed to stabilize below {CONTOUR_NODE_CAP} contour nodes"
     )
 
 

@@ -140,23 +140,10 @@ class StateVector:
         )
 
     @property
-    def seminorm(self) -> float:
-        return float(np.sqrt(2.0 * self.energy))
-
-    @property
     def norm_X(self) -> float:
         """Full state norm: (||u||_{H^1}^2 + ||v||^2 + ||w||^2)^(1/2)."""
         hw = 1.0 / self.n_wave
         return float(np.sqrt(2.0 * self.energy + _trapz_sq(self.u, hw)))
-
-    def scaled(self, alpha: complex) -> "StateVector":
-        return StateVector(
-            u=alpha * self.u,
-            v=alpha * self.v,
-            w=alpha * self.w,
-            variant=self.variant,
-            u_prime=None if self.u_prime is None else alpha * self.u_prime,
-        )
 
     def minus(self, other: "StateVector") -> "StateVector":
         up = None

@@ -217,6 +217,10 @@ class TestGrowthRatio:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             det_growth_ratio(1.5)
+        with pytest.raises(DomainError):
+            det_growth_ratio(np.array([100.0, -1.5, 2.0]))
+        with pytest.raises(DomainError):
+            det_growth_ratio(math.nan)
 
     def test_positive_both_signs(self):
         assert det_growth_ratio(100.0) > 0
@@ -229,8 +233,18 @@ class TestGrowthRatio:
     def test_sampled_lower_bound_recorded(self):
         # desk-scale scan; the global minimum sits near |s| ~ 8.12
         samples = np.logspace(math.log10(2.0), 4.0, 2500)
-        c_min = min(det_growth_ratio(float(s)) for s in samples)
+        c_min = float(det_growth_ratio(samples).min())
         assert 0.3 < c_min < 0.4
 
     def test_no_overflow_high_frequency(self):
         assert det_growth_ratio(1e4) > 0
+
+    @given(st.lists(
+        st.tuples(st.floats(2.0, 1e4), st.booleans()), min_size=1, max_size=20,
+    ))
+    def test_array_matches_extended_precision(self, points):
+        s = np.array([-m if neg else m for m, neg in points])
+        expected = [
+            abs(mp_charfn(1j * v, NEU)) * math.exp(-math.sqrt(abs(v) / 2.0)) for v in s
+        ]
+        assert det_growth_ratio(s) == pytest.approx(expected, rel=1e-12)

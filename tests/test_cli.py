@@ -148,3 +148,10 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert "FAIL" in out
+
+    def test_invalid_nmax_exits_one(self, tmp_path, capsys):
+        for nmax in ("-1", "3"):
+            code = main(["verify", "--nmax", nmax, "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and "nmax" in err

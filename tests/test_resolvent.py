@@ -36,27 +36,39 @@ def smooth_triple(rng, n_wave, n_heat, degree=5):
     return make
 
 
+def wave_data(f, g):
+    return DataTriple(f=f, g=g, h=np.zeros(17))
+
+
+def heat_data(h):
+    return DataTriple(f=np.zeros(17), g=np.zeros(17), h=h)
+
+
 class TestParticularIntegrals:
     def test_wave_zero_data(self):
         zeros = np.zeros(33)
-        assert particular_wave(5.0, zeros, zeros, -0.3) == (0j, 0j)
+        u_val, u_der = particular_wave(5.0, wave_data(zeros, zeros))
+        assert not u_val.any() and not u_der.any()
 
     def test_wave_empty_range(self):
+        # the first wave node is xi = -1, where the integration range is empty
         ones = np.ones(33)
-        assert particular_wave(5.0, ones, ones, -1.0) == (0j, 0j)
+        u_val, u_der = particular_wave(5.0, wave_data(ones, ones))
+        assert u_val[0] == 0 and u_der[0] == 0
 
     def test_wave_constant_data_oracle(self):
         ones, zeros = np.ones(65), np.zeros(65)
-        u_val, u_der = particular_wave(10.0, ones, zeros, 0.0)
-        assert u_val == pytest.approx(U_CONST_S10, rel=1e-8)
-        assert u_der == pytest.approx(UP_CONST_S10, rel=1e-8)
+        u_val, u_der = particular_wave(10.0, wave_data(ones, zeros))
+        assert u_val[-1] == pytest.approx(U_CONST_S10, rel=1e-8)
+        assert u_der[-1] == pytest.approx(UP_CONST_S10, rel=1e-8)
 
     def test_wave_adaptive_quadrature_oracle(self, rng):
         # independent oracle: scipy adaptive quadrature, cell by cell so the
         # interpolant kinks never sit inside an adaptive panel
-        n, s, xi = 48, 7.3, -0.21
+        n, s, node = 48, 7.3, 38  # xi = -10/48
         f, g = rng.standard_normal(n + 1), rng.standard_normal(n + 1)
         grid = wave_nodes(n)
+        xi = grid[node]
 
         def integrand(r, part):
             phi = 1j * s * np.interp(r, grid, f) + np.interp(r, grid, g)
@@ -69,24 +81,28 @@ class TestParticularIntegrals:
             for a, b in zip(cuts[:-1], cuts[1:])
             for part in (0, 1)
         )
-        got = particular_wave(s, f, g, xi)[0]
+        got = particular_wave(s, wave_data(f, g))[0][node]
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_heat_zero_data(self):
-        assert particular_heat(9.0, np.zeros(17), 0.4) == (0j, 0j)
+        w_val, w_der = particular_heat(9.0, heat_data(np.zeros(17)))
+        assert not w_val.any() and not w_der.any()
 
     def test_heat_empty_range(self):
-        assert particular_heat(9.0, np.ones(17), 1.0) == (0j, 0j)
+        # the last heat node is xi = 1, where the integration range is empty
+        w_val, w_der = particular_heat(9.0, heat_data(np.ones(17)))
+        assert w_val[-1] == 0 and w_der[-1] == 0
 
     def test_heat_constant_data_oracle(self):
-        w_val, w_der = particular_heat(25.0, np.ones(65), 0.0)
-        assert w_val == pytest.approx(W_CONST_S25, rel=1e-8)
-        assert w_der == pytest.approx(WP_CONST_S25, rel=1e-8)
+        w_val, w_der = particular_heat(25.0, heat_data(np.ones(65)))
+        assert w_val[0] == pytest.approx(W_CONST_S25, rel=1e-8)
+        assert w_der[0] == pytest.approx(WP_CONST_S25, rel=1e-8)
 
     def test_heat_adaptive_quadrature_oracle(self, rng):
-        n, s, xi = 40, 31.0, 0.15
+        n, s, node = 40, 31.0, 6  # xi = 0.15
         h = rng.standard_normal(n + 1)
         grid = heat_nodes(n)
+        xi = grid[node]
         z = principal_sqrt(1j * s)
 
         def integrand(r, part):
@@ -99,14 +115,14 @@ class TestParticularIntegrals:
             for a, b in zip(cuts[:-1], cuts[1:])
             for part in (0, 1)
         )
-        got = particular_heat(s, h, xi)[0]
+        got = particular_heat(s, heat_data(h))[0][node]
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(DegenerateInputError):
-            particular_wave(0.0, np.ones(9), np.ones(9), -0.5)
+            particular_wave(0.0, wave_data(np.ones(9), np.ones(9)))
         with pytest.raises(DegenerateInputError):
-            particular_heat(0.0, np.ones(9), 0.5)
+            particular_heat(0.0, heat_data(np.ones(9)))
 
 
 class TestCoefficients:
@@ -175,7 +191,7 @@ class TestApplyResolvent:
             x = apply_resolvent(s, y)
             co = solve_coefficients(s, y)
             z = principal_sqrt(1j * s)
-            w_prime0 = z * co.b * cmath.cosh(z) + particular_heat(s, y.h, 0.0)[1]
+            w_prime0 = z * co.b * cmath.cosh(z) + particular_heat(s, y)[1][0]
             scale = y.norm_X
             assert abs(x.u_prime[0]) <= 1e-8 * scale
             assert abs(x.w[-1]) <= 1e-8 * scale
