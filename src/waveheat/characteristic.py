@@ -140,7 +140,9 @@ class ScaledValue(NamedTuple):
 
 def _normalize(mantissa, log_scale) -> ScaledValue:
     if isinstance(mantissa, np.ndarray):
-        mag = np.abs(mantissa)
+        # hypot, not np.abs: numpy's complex modulus can differ from Python's
+        # abs() in the last bit, and the point branch below uses abs()
+        mag = np.hypot(mantissa.real, mantissa.imag)
         keep = (mag == 0) | ((_MANTISSA_LO <= mag) & (mag <= _MANTISSA_HI))
         div = np.where(keep, 1.0, mag)
         return ScaledValue(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from waveheat.characteristic import (
     BoundaryVariant,
@@ -122,17 +122,23 @@ _points = st.lists(
 
 
 def _assert_pointwise(array_value, point_values):
+    # A log scale L is a double, so one ulp of L is a relative factor
+    # exp(ulp(L)) ~ 1 + ulp(L) on the value.  Each path rounds its L once when
+    # it adds log|mantissa| and its log may sit one ulp off: hence 2 ulp(L)
+    # on top of the mantissa bound.
     for m, ls, point in zip(array_value.mantissa, array_value.log_scale, point_values):
         if point.mantissa == 0:
             assert m == 0
             continue
         aligned = m * math.exp(ls - point.log_scale)
-        assert abs(aligned - point.mantissa) <= 1e-14 * abs(point.mantissa)
+        bound = 1e-14 + 2 * math.ulp(point.log_scale)
+        assert abs(aligned - point.mantissa) <= bound * abs(point.mantissa)
 
 
 class TestArrayEvaluation:
     @pytest.mark.parametrize("variant", [NEU, DIR])
     @given(points=_points)
+    @example(points=[1.8825631826248584e-202 + 1.8825631826248584e-202j])
     def test_matches_point_evaluation(self, variant, points):
         lam = np.array(points)
         _assert_pointwise(

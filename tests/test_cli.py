@@ -102,6 +102,28 @@ class TestSimulateCommand:
         assert code == 1
         assert "guard" in capsys.readouterr().err
 
+    def test_non_finite_state_exits_two(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        from waveheat.simulator import CrankNicolsonStepper
+
+        advance = CrankNicolsonStepper.advance
+        calls = []
+
+        def poisoned(self, z):
+            z_new, mid = advance(self, z)
+            calls.append(1)
+            if len(calls) >= 5:
+                return np.full_like(z_new, np.nan), np.full_like(mid, np.nan)
+            return z_new, mid
+
+        monkeypatch.setattr(CrankNicolsonStepper, "advance", poisoned)
+        code = main(["simulate", "--grid", "64", "--tmax", "20", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_k2_profile_reports_both_slopes(self, tmp_path, capsys):
         code = main(["simulate", "--grid", "64", "--tmax", "25",
                      "--profile", "k2", "--out", str(tmp_path)])

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from waveheat.characteristic import BoundaryVariant
-from waveheat.discretization import GridSpec, make_domain_data
-from waveheat.errors import VariantError, WindowError
+from waveheat.discretization import GridSpec, assemble, make_domain_data
+from waveheat.errors import SolveFailureError, VariantError, WindowError
 from waveheat.simulator import (
+    CrankNicolsonStepper,
     EnergySeries,
     SimulationConfig,
     decade_slopes,
@@ -75,6 +79,87 @@ class TestStep:
         before = datum.state
         after = step(before, cfg)
         assert after.energy <= before.energy + 1e-12 * before.energy
+
+
+class TestStepper:
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_textbook_step(self, variant, n, dtype):
+        # (I - dt A/2) z+ = (I + dt A/2) z, solved directly on the full system
+        disc = assemble(GridSpec(n, n), variant)
+        dt = 0.5 / n
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(disc.dim).astype(dtype)
+        if dtype is complex:
+            z += 1j * rng.standard_normal(disc.dim)
+        eye = sp.identity(disc.dim, format="csc")
+        ref = spla.spsolve((eye - 0.5 * dt * disc.A).tocsc(), (eye + 0.5 * dt * disc.A) @ z)
+        z_new, mid = CrankNicolsonStepper(disc, dt).advance(z)
+        assert np.linalg.norm(z_new - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.max(np.abs(mid - 0.5 * (z + z_new))) <= 1e-14 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize(
+        "breakage", ["u_rows_scaled", "u_feedback", "far_coupling", "asymmetric"])
+    def test_rejects_generator_without_structure(self, breakage):
+        disc = assemble(GRID, NEU)
+        A = disc.A.tolil()
+        if breakage == "u_rows_scaled":  # u' = 2 v
+            A[: disc.n_u] *= 2.0
+        elif breakage == "u_feedback":  # u' = v - u at the first node
+            A[0, 0] = -1.0
+        elif breakage == "far_coupling":  # q-block coupling beyond the band
+            A[disc.n_u, disc.dim - 1] = -1.0
+        else:  # one heat-conduction coefficient changed on one side only
+            row = 2 * disc.n_u
+            A[row, row + 1] *= 1.01
+        broken = dataclasses.replace(disc, A=A.tocsr())
+        with pytest.raises(SolveFailureError):
+            CrankNicolsonStepper(broken, GRID.h_wave / 4.0)
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("poison", ["state_and_midpoint", "state_only"])
+    def test_non_finite_state_raises_at_flush(self, monkeypatch, poison):
+        # stride 8: the first flush is after step 8, whatever goes non-finite
+        advance = CrankNicolsonStepper.advance
+        calls = []
+
+        def poisoned(self, z):
+            z_new, mid = advance(self, z)
+            calls.append(1)
+            if poison == "state_and_midpoint" and len(calls) >= 5:
+                return np.full_like(z_new, np.nan), np.full_like(mid, np.nan)
+            if poison == "state_only" and len(calls) == 8:
+                return np.full_like(z_new, np.inf), mid
+            return z_new, mid
+
+        monkeypatch.setattr(CrankNicolsonStepper, "advance", poisoned)
+        datum = make_domain_data("smooth_bump", GRID, NEU)
+        with pytest.raises(SolveFailureError):
+            run(datum.state, config(t_max=10.0, stride=8))
+        assert len(calls) == 8
+
+
+class TestOutputStride:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        datum = make_domain_data("smooth_bump", GRID, NEU)
+        return {stride: run(datum.state, config(t_max=10.0, stride=stride))
+                for stride in (1, 16, 64, 100)}
+
+    @pytest.mark.parametrize("stride", [1, 16, 64, 100])
+    def test_block_boundaries(self, runs, stride):
+        # 2560 steps; stride 100 flushes a full block inside each output
+        # interval and ends on a 60-step interval
+        ref, series = runs[1], runs[stride]
+        steps = np.rint(series.times / ref.times[1]).astype(int)
+        assert np.array_equal(series.times, ref.times[steps])
+        assert np.array_equal(series.energies, ref.energies[steps])
+        expected = [ref.dissipation[a + 1 : b + 1].sum() for a, b in zip(steps[:-1], steps[1:])]
+        np.testing.assert_allclose(series.dissipation[1:], expected, rtol=1e-12, atol=0.0)
+        defect = np.abs(np.diff(series.energies) + series.dissipation[1:])
+        assert np.max(defect) <= 1e-10 * series.energies[0]
 
 
 @pytest.fixture(scope="module")
