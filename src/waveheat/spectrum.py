@@ -70,6 +70,12 @@ class EigenvalueRecord:
     variant: BoundaryVariant
 
 
+def _disk(n: int, variant: BoundaryVariant) -> tuple[float, float]:
+    """Centre height and radius of the seed disk of branch index n."""
+    half = n + 0.5 if variant is BoundaryVariant.NEUMANN else n
+    return half * math.pi, 2.0 * abs(half) ** -0.5
+
+
 def seeds(variant: BoundaryVariant, n_max: int) -> list[EigenvalueSeed]:
     """Seed disks for indices -n_max..n_max (negative indices mirror by conjugation).
 
@@ -80,19 +86,10 @@ def seeds(variant: BoundaryVariant, n_max: int) -> list[EigenvalueSeed]:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     out: list[EigenvalueSeed] = []
     for n in range(-n_max, n_max + 1):
-        if variant is BoundaryVariant.NEUMANN:
-            half = n + 0.5
-            out.append(
-                EigenvalueSeed(n=n, center=complex(0.0, half * math.pi),
-                               radius=2.0 * abs(half) ** -0.5)
-            )
-        else:
-            if n == 0:
-                continue
-            out.append(
-                EigenvalueSeed(n=n, center=complex(0.0, n * math.pi),
-                               radius=2.0 * abs(n) ** -0.5)
-            )
+        if n == 0 and variant is BoundaryVariant.DIRICHLET:
+            continue
+        center_im, radius = _disk(n, variant)
+        out.append(EigenvalueSeed(n=n, center=complex(0.0, center_im), radius=radius))
     return out
 
 
@@ -211,12 +208,7 @@ def asymptotics_report(records: list[EigenvalueRecord]) -> AsymptoticsReport:
         raise InsufficientDataError(f"need >= 20 records, got {len(records)}")
     rows = []
     for rec in sorted(records, key=lambda r: abs(r.lam.imag)):
-        if rec.variant is BoundaryVariant.NEUMANN:
-            center_im = (rec.n + 0.5) * math.pi
-            rad = 2.0 * abs(rec.n + 0.5) ** -0.5
-        else:
-            center_im = rec.n * math.pi
-            rad = 2.0 * abs(rec.n) ** -0.5
+        center_im, rad = _disk(rec.n, rec.variant)
         deviation = abs(rec.lam.imag - center_im)
         rows.append(
             {

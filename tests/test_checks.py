@@ -1,0 +1,88 @@
+import dataclasses
+import importlib
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from waveheat import characteristic, checks, resolvent, simulator
+from waveheat.characteristic import BoundaryVariant, ScaledValue
+from waveheat.discretization import GridSpec, assemble
+from waveheat.simulator import EnergySeries
+from waveheat.spectrum import EigenvalueRecord
+from waveheat.state import DataTriple, heat_nodes, wave_nodes
+
+NEU, DIR = BoundaryVariant.NEUMANN, BoundaryVariant.DIRICHLET
+POINT_ARGS = ([1 + 2j, -3 + 9j, 4.5 + 0.7j],)
+Y = DataTriple(f=np.cos(wave_nodes(32)), g=np.sin(wave_nodes(32)), h=heat_nodes(32) ** 2 - 1)
+
+
+def _record(n, lam, residual=1e-13):
+    return EigenvalueRecord(n, lam, residual, 4, True, NEU)
+
+
+def _series(energies, dissipation, phi=(1.0, 1.0, 1.0)):
+    return EnergySeries(np.arange(3.0), np.array(energies), np.array(dissipation), np.array(phi))
+
+
+def _scale(factor):
+    return lambda real: lambda lam, v: real(lam, v) * factor
+
+
+# check name -> (arguments that break its bound, and None or the binding to
+# wrap: (module, attribute, wrapper of the real function))
+FAULTS = {
+    "schwarz_reflection": (POINT_ARGS, (characteristic, "char_fn", _scale(1 + 1e-9j))),
+    "scaled_unscaled_agreement": (POINT_ARGS, (characteristic, "char_fn", _scale(1 + 1e-11))),
+    "fg_product_identity": (POINT_ARGS, (characteristic, "fg_split",
+                                     lambda real: lambda lam: (real(lam)[0] * 1.001, 0.0))),
+    "derivative_vs_fd": (POINT_ARGS, (characteristic, "char_fn_deriv", _scale(1.0001))),
+    "axis_growth_ratio_positive": ((np.array([5.0, 50.0]),), (
+        characteristic, "det_growth_ratio", lambda real: lambda s: np.zeros(len(s)))),
+    "polish": (([_record(5, -0.1 + 17j), _record(6, -0.1 + 20j, residual=1e-8)],), None),
+    "conjugate_pairs": (([_record(5, -0.1 + 17j)], [_record(-6, -0.1 - 17.001j)]), None),
+    "contour_counts": ((NEU, [1, 2, 1]), None),
+    "det_two_path": ((Y, (2.0, 17.0)), (resolvent, "solve_coefficients", lambda real: (
+        lambda s, y: SimpleNamespace(M=np.eye(2), detM=ScaledValue(2.0, 0.0))))),
+    "resolvent_coupling": ((10.0, Y), (resolvent, "apply_resolvent", lambda real: (
+        lambda s, y: dataclasses.replace(real(s, y), w=real(s, y).w + 1e-6)))),  # w(1) != 0
+    # the Dirichlet string is clamped: constant displacement is not stationary
+    "kernel_vector": ((assemble(GridSpec(16, 16), DIR),), None),
+    "kernel_functional_values": ((16,), (
+        simulator, "kernel_functional", lambda real: lambda x: real(x) + 1e-12)),
+    "energy_monotone": ((_series([1.0, 1.0 + 1e-9, 0.5], [0.0, -1e-9, 0.5]),), None),
+    "energy_balance": ((_series([1.0, 0.5, 0.25], [0.0, 0.5, 0.2]),), None),
+    "phi_constant_along_flow": ((_series([1.0, 0.5, 0.25], [0.0, 0.5, 0.25], [1, 1, 1 + 1e-9]),),
+                                None),
+    "norm_times_gap": (([{"norm_discrete": 2.0, "spectral_lower_bound": 1.0},
+                         {"norm_discrete": 0.9, "spectral_lower_bound": 1.0}],), None),
+    "sampled_below_discrete": (([{"norm_discrete": 1.0, "norm_sampled": 1.1}],), None),
+    "dirichlet_no_kernel": (
+        (SimpleNamespace(eigenvalues_near=lambda target, k: np.array([0.1, 1.0, 2.0])),), None),
+}
+
+
+def test_every_check_has_a_fault():
+    public = {name for name, fn in vars(checks).items() if not name.startswith("_")
+              and getattr(fn, "__annotations__", {}).get("return") == "Check"}
+    assert public == set(FAULTS)
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_every_check_can_fail(name, monkeypatch):
+    args, binding = FAULTS[name]
+    if binding is not None:
+        module, attr, wrap = binding
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    result = getattr(checks, name)(*args)
+    assert result.passed is False, result
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # the benchmark's traced run patches these bindings; Tier-1 does not
+    # collect the benchmark's own tests
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    tracing = importlib.import_module("perfbench.tracing")
+    for module, cls, attr, _ in tracing.TARGETS:
+        assert attr in tracing.resolve(module, cls).__dict__, (module, cls, attr)

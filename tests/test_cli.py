@@ -1,12 +1,24 @@
 import csv
 
+import numpy as np
+import pytest
+
 import waveheat.characteristic
+from waveheat import checks
 from waveheat.cli import main
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--seed", "1"], ["simulate", "--seed", "1"], ["verify", "--variant", "neumann"],
+])
+def test_removed_flags_are_usage_errors(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -155,8 +167,10 @@ class TestVerifyCommand:
         code = main(["verify", "--nmax", "12", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 15
+        # perfbench parses these lines: one PASS per check, in battery order
+        lines = [line.split()[:2] for line in out.splitlines() if line[:4] in ("PASS", "FAIL")]
+        names = [c.name for c in checks.battery(12, np.random.default_rng(0))]
+        assert lines == [["PASS", name] for name in names] and len(names) == 21
 
     def test_injected_sign_error_detected(self, tmp_path, capsys, monkeypatch):
         real = waveheat.characteristic.char_fn

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from waveheat import checks
 from waveheat.characteristic import BoundaryVariant, principal_sqrt
 from waveheat.discretization import GridSpec, assemble
 from waveheat.errors import DegenerateInputError, NoConvergenceError, ResolutionError
@@ -21,19 +22,16 @@ from waveheat.resolvent import (
 )
 from waveheat.state import DataTriple, heat_nodes, wave_nodes
 
-from conftest import U_CONST_S10, UP_CONST_S10, W_CONST_S25, WP_CONST_S25
+from conftest import (
+    U_CONST_S10,
+    UP_CONST_S10,
+    W_CONST_S25,
+    WP_CONST_S25,
+    defining_residual,
+    smooth_triple,
+)
 
 NEU = BoundaryVariant.NEUMANN
-
-
-def smooth_triple(rng, n_wave, n_heat, degree=5):
-    pf = np.polynomial.Polynomial(rng.standard_normal(degree))
-    pg = np.polynomial.Polynomial(rng.standard_normal(degree))
-    ph = np.polynomial.Polynomial(rng.standard_normal(degree))
-    make = lambda n_w, n_h: DataTriple(
-        f=pf(wave_nodes(n_w)), g=pg(wave_nodes(n_w)), h=ph(heat_nodes(n_h))
-    )
-    return make
 
 
 def wave_data(f, g):
@@ -132,7 +130,7 @@ class TestCoefficients:
         assert co.a == 0 and co.b == 0
 
     def test_interface_system_satisfied(self, rng):
-        make = smooth_triple(rng, 64, 64)
+        make = smooth_triple(rng)
         y = make(64, 64)
         co = solve_coefficients(100.0, y)
         resid = co.M @ np.array([co.a, co.b]) - co.rhs
@@ -140,10 +138,7 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("s", [2.0, 17.0, 313.0])
     def test_determinant_two_evaluation_orders(self, s, rng):
-        y = smooth_triple(rng, 48, 48)(48, 48)
-        co = solve_coefficients(s, y)
-        direct = co.M[0, 0] * co.M[1, 1] - co.M[0, 1] * co.M[1, 0]
-        assert co.detM.value() == pytest.approx(direct, rel=1e-10)
+        assert checks.det_two_path(smooth_triple(rng)(48, 48), (s,)).passed
 
     def test_small_frequency_warns(self):
         y = DataTriple(f=np.zeros(17), g=np.zeros(17), h=np.zeros(17))
@@ -157,29 +152,16 @@ class TestCoefficients:
 
 
 class TestApplyResolvent:
-    def residuals(self, s, y, x):
-        """L2 norms of the interior defining-equation residuals."""
-        hw = 1.0 / y.n_wave
-        hh = 1.0 / y.n_heat
-        d2u = (x.u[:-2] - 2 * x.u[1:-1] + x.u[2:]) / hw**2
-        res_u = d2u + s**2 * x.u[1:-1] + 1j * s * y.f[1:-1] + y.g[1:-1]
-        d2w = (x.w[:-2] - 2 * x.w[1:-1] + x.w[2:]) / hh**2
-        res_w = d2w - 1j * s * x.w[1:-1] + y.h[1:-1]
-        return (
-            math.sqrt(hw * float(np.sum(np.abs(res_u) ** 2))),
-            math.sqrt(hh * float(np.sum(np.abs(res_w) ** 2))),
-        )
-
     @pytest.mark.parametrize("s", [2.0, 10.0, 100.0])
     def test_defining_equations_second_order(self, s, rng):
-        make = smooth_triple(rng, 0, 0)
+        make = smooth_triple(rng)
         base = max(64, int(math.ceil(10 * s / (2 * math.pi))))
         errs = []
         for factor in (1, 2, 4):
             n = base * factor
             y = make(n, n)
             x = apply_resolvent(s, y)
-            errs.append(sum(self.residuals(s, y, x)))
+            errs.append(defining_residual(s, y, x))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
             assert abs(order - 2.0) <= 0.3
@@ -187,19 +169,10 @@ class TestApplyResolvent:
     def test_boundary_and_coupling_conditions(self, rng):
         for s in (2.0, 10.0, 100.0):
             n = max(64, int(math.ceil(10 * s / (2 * math.pi))))
-            y = smooth_triple(rng, n, n)(n, n)
-            x = apply_resolvent(s, y)
-            co = solve_coefficients(s, y)
-            z = principal_sqrt(1j * s)
-            w_prime0 = z * co.b * cmath.cosh(z) + particular_heat(s, y)[1][0]
-            scale = y.norm_X
-            assert abs(x.u_prime[0]) <= 1e-8 * scale
-            assert abs(x.w[-1]) <= 1e-8 * scale
-            assert abs(x.v[-1] - x.w[0]) <= 1e-8 * scale
-            assert abs(x.u_prime[-1] - w_prime0) <= 1e-8 * scale
+            assert checks.resolvent_coupling(s, smooth_triple(rng)(n, n)).passed
 
     def test_velocity_identity(self, rng):
-        y = smooth_triple(rng, 96, 96)(96, 96)
+        y = smooth_triple(rng)(96, 96)
         x = apply_resolvent(10.0, y)
         assert np.allclose(x.v, 1j * 10.0 * x.u - y.f)
 
@@ -211,7 +184,7 @@ class TestApplyResolvent:
         import scipy.sparse.linalg as spla
 
         s = 10.0
-        make = smooth_triple(rng, 0, 0)
+        make = smooth_triple(rng)
         res_errs, sol_errs = [], []
         for n in (64, 128, 256):
             y = make(n, n)
@@ -273,20 +246,16 @@ class TestNorms:
         )
 
     def test_norm_against_spectral_gap(self):
-        for target in (10.0, 50.0):
-            grid = required_grid(target, factor=2.5)
-            disc = assemble(grid, NEU)
-            s_eff, gap = snap_to_resonance(disc, target)
-            nrm = resolvent_norm_discrete(s_eff, disc)
-            assert nrm * gap >= 1.0
+        assert checks.norm_times_gap(sweep(NEU, [10.0, 50.0], resolution_factor=2.5)).passed
 
     def test_sampled_bounds_discrete(self, rng):
         grid = required_grid(100.0, factor=2.0)
         disc = assemble(grid, NEU)
         s_eff, _ = snap_to_resonance(disc, 100.0)
         discrete = resolvent_norm_discrete(s_eff, disc)
-        sampled = resolvent_norm_sampled(s_eff, 60, grid, rng)
-        assert sampled <= 1.05 * discrete
+        row = {"norm_discrete": discrete,
+               "norm_sampled": resolvent_norm_sampled(s_eff, 60, grid, rng)}
+        assert checks.sampled_below_discrete([row]).passed
 
     def test_sampled_recovers_half_at_100(self):
         grid = required_grid(100.0, factor=2.0)
@@ -315,7 +284,7 @@ class TestComponentDiagnostics:
     def test_heat_component_bounded_in_frequency(self, rng):
         # diagnostic: the temperature component of the solution stays O(1)
         # while the full norm grows like sqrt(s)
-        make = smooth_triple(rng, 0, 0)
+        make = smooth_triple(rng)
         w_norms = []
         for s in (10.0, 100.0, 1000.0):
             n = max(64, int(math.ceil(10 * s / (2 * math.pi))))
@@ -335,5 +304,4 @@ class TestSweep:
         norms = np.array([r["norm_discrete"] for r in rows])
         slope = np.polyfit(np.log(svals), np.log(norms), 1)[0]
         assert 0.35 <= slope <= 0.65
-        for row in rows:
-            assert row["norm_discrete"] >= row["spectral_lower_bound"] * (1 - 1e-9)
+        assert checks.norm_times_gap(rows).passed

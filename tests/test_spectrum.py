@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from waveheat import checks
 from waveheat.characteristic import BoundaryVariant
 from waveheat.errors import (
     ContourTooCloseError,
@@ -73,9 +74,7 @@ class TestPolish:
 
     def test_conjugate_seed_gives_conjugate_root(self):
         by_n = {s.n: s for s in seeds(NEU, 8)}
-        up = polish(by_n[7], NEU)
-        down = polish(by_n[-8], NEU)
-        assert down.lam == pytest.approx(up.lam.conjugate(), abs=1e-10)
+        assert checks.conjugate_pairs([polish(by_n[7], NEU)], [polish(by_n[-8], NEU)]).passed
 
     def test_records_carry_metadata(self):
         rec = polish(seeds(DIR, 1)[-1], DIR)
