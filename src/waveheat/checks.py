@@ -87,14 +87,23 @@ def polish(records) -> Check:
                  f"n={records[0].n}..{records[-1].n}, max resid {resid:.1e}")
 
 
+def _mirror(variant, n: int) -> int:
+    """The branch whose root is the conjugate of branch n's."""
+    return -n - 1 if variant is NEU else -n
+
+
 def conjugate_pairs(records, mirrored) -> Check:
-    """Roots of branch n and of its mirror (-n-1 Neumann, -n Dirichlet) are conjugate."""
-    shift = 1 if records[0].variant is NEU else 0
+    """Each root of ``records`` is conjugate to the root of its mirror branch in ``mirrored``.
+
+    Fails if no pair is compared.
+    """
+    variant = records[0].variant
     down = {r.n: r.lam for r in mirrored}
-    err = max((abs(down[-r.n - shift] - r.lam.conjugate())
-               for r in records if -r.n - shift in down), default=0.0)
-    return Check(f"conjugate_pairs_{records[0].variant.value}", err, 1e-10, err < 1e-10,
-                 f"max {err:.1e}")
+    errs = [abs(down[_mirror(variant, r.n)] - r.lam.conjugate())
+            for r in records if _mirror(variant, r.n) in down]
+    err = max(errs, default=0.0)
+    return Check(f"conjugate_pairs_{variant.value}", err, 1e-10, bool(errs) and err < 1e-10,
+                 f"compared {len(errs)} of {len(records)}, max {err:.1e}")
 
 
 def contour_counts(variant, counts: list[int]) -> Check:
@@ -182,7 +191,7 @@ def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
     """The checks of ``waveheat verify`` in order, each computed when reached.
 
     ``rng`` draws the determinant samples and the sampled-norm data; roots are
-    polished for branch indices 5 <= |n| <= nmax.
+    polished for the branches 5 <= n <= nmax and for their mirrors.
     """
     points = [complex(rng.uniform(-20, 20), rng.uniform(0.1, 40)) for _ in range(40)]
     yield schwarz_reflection(points)
@@ -194,10 +203,12 @@ def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
     mags = np.logspace(math.log10(2.0), 4.0, 2000)
     yield axis_growth_ratio_positive(np.concatenate([mags, -mags[::40]]))
     for variant in (NEU, DIR):
-        disks = spectrum.seeds(variant, nmax)
-        records = [spectrum.polish(d, variant) for d in disks if d.n >= 5]
+        records = [spectrum.polish(d, variant) for d in spectrum.seeds(variant, nmax) if d.n >= 5]
         yield polish(records)
-        yield conjugate_pairs(records, [spectrum.polish(d, variant) for d in disks if d.n <= -5])
+        mirrors = {_mirror(variant, r.n) for r in records}
+        yield conjugate_pairs(records, [spectrum.polish(d, variant)
+                                        for d in spectrum.seeds(variant, nmax + 1)
+                                        if d.n in mirrors])
         yield contour_counts(variant, [spectrum.count_zeros_contour(d.center, d.radius, variant)
                                        for d in spectrum.seeds(variant, 25) if d.n in (5, 12, 25)])
     xw, xh = state.wave_nodes(64), state.heat_nodes(64)

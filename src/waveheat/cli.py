@@ -273,7 +273,6 @@ def cmd_verify(args) -> int:
     if args.nmax < 5:
         print("waveheat verify: --nmax must be >= 5", file=sys.stderr)
         return USAGE_EXIT
-    _ensure_outdir(args.out)
     failures = 0
     for check in checks.battery(args.nmax, np.random.default_rng(args.seed)):
         print(f"{'PASS' if check.passed else 'FAIL'}  {check.name:32s} {check.detail}")

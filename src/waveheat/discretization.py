@@ -150,9 +150,6 @@ class DiscreteGenerator:
     def energy(self, z: np.ndarray) -> float:
         return 0.5 * float(np.real(np.conj(z) @ (self.W_E @ z)))
 
-    def dissipation_rate(self, z: np.ndarray) -> float:
-        return float(np.real(np.conj(z) @ (self.W_diss @ z)))
-
     def norm(self, z: np.ndarray) -> float:
         return math.sqrt(max(float(np.real(np.conj(z) @ (self.W @ z))), 0.0))
 

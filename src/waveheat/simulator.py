@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy, dcopy, dgbmv, dscal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .characteristic import BoundaryVariant
-from .discretization import DiscreteGenerator, GridSpec, assemble
+from .discretization import DiscreteGenerator, GridSpec, _trapz_weights, assemble
 from .errors import SolveFailureError, VariantError, WindowError
-from .state import StateVector
+from .state import StateVector, heat_nodes
 
 __all__ = [
     "SimulationConfig",
@@ -34,6 +35,7 @@ __all__ = [
     "run",
     "project_kernel",
     "kernel_functional",
+    "phi_weights",
     "fit_decay",
     "last_clean_decade",
     "decade_slopes",
@@ -90,10 +92,12 @@ class CrankNicolsonStepper:
     m_u = z_u + a m_v, and eliminating m_u leaves the symmetric positive
     definite tridiagonal system
 
-        M (I - a A_qq - a^2 A_qu A_uq) m_q = M (z_q + a A_qu z_u)
+        M (I - a A_qq - a^2 A_qu A_uq) m_q = M z_q + a M A_qu z_u
 
     in the velocity/temperature block q, with M the q-block diagonal of
-    W_E.  It is factored once (LAPACK pttrf); each step is one pttrs solve.
+    W_E.  It is factored once (LAPACK pttrf); the coupling a M A_qu is
+    zero in the w rows and tridiagonal in the v rows, and is kept in
+    LAPACK band storage for one gbmv product per step.
     """
 
     def __init__(self, disc: DiscreteGenerator, dt: float):
@@ -117,39 +121,72 @@ class CrankNicolsonStepper:
         if info != 0:
             raise SolveFailureError(
                 f"Schur complement is not positive definite (pttrf info {info})")
-        self._coupling = (sp.diags(a * mass) @ a_qu).tocsr()
+        coupling = (sp.diags(a * mass) @ a_qu).tocoo()
+        keep = coupling.data != 0
+        rows, cols = coupling.row[keep], coupling.col[keep]
+        if np.any(rows >= nu) or np.any(np.abs(rows - cols) > 1):
+            raise SolveFailureError("coupling a M A_qu is not tridiagonal in the v rows")
+        # LAPACK band storage with kl = ku = 1: entry (i, j) sits at [1 + i - j, j]
+        self._coupling = np.zeros((3, nu), order="F")  # gbmv reads it uncopied
+        self._coupling[1 + rows - cols, cols] = coupling.data[keep]
 
-    def advance(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step from z: the new state z+ and the midpoint (z + z+)/2."""
-        nu = self._n_u
-        z_u, z_q = z[:nu], z[nu:]
-        rhs = self._mass * z_q + self._coupling @ z_u
-        if np.iscomplexobj(rhs):
-            parts, _ = dpttrs(self._d, self._e, np.column_stack([rhs.real, rhs.imag]))
-            m_q = parts[:, 0] + 1j * parts[:, 1]
+    def advance(self, z: np.ndarray, mid: np.ndarray) -> None:
+        """One step in place: z becomes z+ and mid the midpoint (z + z+)/2.
+
+        ``z`` and ``mid`` are contiguous float64 or complex128 vectors of
+        length dim; BLAS and LAPACK write into them directly.  A complex
+        state advances its real and imaginary parts, since A is real.
+        """
+        if z.dtype.kind == "c":
+            parts, part_mids = np.stack([z.real, z.imag]), np.empty((2, len(z)))
+            for part, part_mid in zip(parts, part_mids):
+                self._advance_real(part, part_mid)
+            z[:] = parts[0] + 1j * parts[1]
+            mid[:] = part_mids[0] + 1j * part_mids[1]
         else:
-            m_q, _ = dpttrs(self._d, self._e, rhs)
-        mid = np.concatenate([z_u + self._a * m_q[:nu], m_q])
-        return 2.0 * mid - z, mid
+            self._advance_real(z, mid)
+
+    def _advance_real(self, z: np.ndarray, mid: np.ndarray) -> None:
+        nu = self._n_u
+        m_q = mid[nu:]
+        np.multiply(self._mass, z[nu:], out=m_q)  # M z_q
+        # + a M A_qu z_u, which touches only the v rows
+        dgbmv(nu, nu, 1, 1, 1.0, self._coupling, z, beta=1.0, y=m_q, overwrite_y=1)
+        dpttrs(self._d, self._e, m_q, overwrite_b=1)  # m_q
+        dcopy(z, mid, n=nu)
+        daxpy(m_q, mid, n=nu, a=self._a)  # m_u = z_u + a m_v
+        dscal(-1.0, z)
+        daxpy(mid, z, a=2.0)  # z+ = 2 m - z
+
+
+def _packed(disc: DiscreteGenerator, x: StateVector) -> np.ndarray:
+    """x in generator coordinates as a fresh float or complex vector."""
+    z = disc.pack_state(x)
+    return z.astype(complex if np.iscomplexobj(z) else float)
 
 
 def step(state: StateVector, config: SimulationConfig) -> StateVector:
     """One implicit trapezoidal step of the packed state."""
     stepper = CrankNicolsonStepper(assemble(config.grid, config.variant), config.dt)
-    z, _ = stepper.advance(stepper.disc.pack_state(state))
+    z = _packed(stepper.disc, state)
+    stepper.advance(z, np.empty_like(z))
     if not np.all(np.isfinite(z)):
         raise SolveFailureError("non-finite state after implicit solve")
     return stepper.disc.unpack(z)
 
 
-def _block_dissipation(disc: DiscreteGenerator, mids: np.ndarray, z: np.ndarray,
-                       dt: float) -> float:
-    """dt times the dissipation form summed over the midpoint columns.
+def _block_dissipation(disc: DiscreteGenerator, mids: np.ndarray, cols: np.ndarray,
+                       z: np.ndarray, dt: float) -> float:
+    """dt times the dissipation form summed over the midpoint rows.
 
+    ``cols`` is scratch of at least ``mids.size`` entries that takes the
+    block as columns, where the sparse product is several times faster.
     Also the finiteness check of the trajectory: a non-finite midpoint
     makes the sum non-finite.
     """
-    total = dt * float(np.real(np.vdot(mids, disc.W_diss @ mids)))
+    block = cols[: mids.size].reshape(mids.shape[::-1])
+    np.copyto(block, mids.T)
+    total = dt * float(np.real(np.vdot(block, disc.W_diss @ block)))
     if not (math.isfinite(total) and np.all(np.isfinite(z))):
         raise SolveFailureError("non-finite state after implicit solve")
     return total
@@ -160,36 +197,37 @@ def run(x0: StateVector, config: SimulationConfig) -> EnergySeries:
 
     The per-interval dissipation is accumulated from the midpoint states,
     for which the trapezoidal rule satisfies the energy balance exactly.
-    Midpoints are buffered as columns and the dissipation form is applied
-    once per block of at most BLOCK_STEPS steps.
+    The stepper writes each midpoint into a row of a block buffer, and the
+    dissipation form is applied once per block of at most BLOCK_STEPS
+    steps.  phi is one dot product with ``phi_weights``.
     """
     disc = assemble(config.grid, config.variant)
     stepper = CrankNicolsonStepper(disc, config.dt)
-    z = disc.pack_state(x0)
-    z = z.astype(complex) if np.iscomplexobj(z) else z.astype(float)
+    z = _packed(disc, x0)
+    weights = phi_weights(disc)
     n_steps = int(round(config.t_max / config.dt))
     stride = config.output_stride
-    mids = np.empty((disc.dim, min(stride, BLOCK_STEPS)), dtype=z.dtype)
+    mids = np.empty((min(stride, BLOCK_STEPS), disc.dim), dtype=z.dtype)
+    cols = np.empty(mids.size, dtype=z.dtype)
 
     times = [0.0]
     energies = [disc.energy(z)]
     dissipation = [0.0]
-    phis = [kernel_functional(disc.unpack(z))]
+    phis = [weights @ z]
     acc = 0.0
     filled = 0
     for i in range(1, n_steps + 1):
-        z, mid = stepper.advance(z)
-        mids[:, filled] = mid
+        stepper.advance(z, mids[filled])
         filled += 1
         output = i % stride == 0 or i == n_steps
-        if output or filled == mids.shape[1]:
-            acc += _block_dissipation(disc, mids[:, :filled], z, config.dt)
+        if output or filled == len(mids):
+            acc += _block_dissipation(disc, mids[:filled], cols, z, config.dt)
             filled = 0
         if output:
             times.append(i * config.dt)
             energies.append(disc.energy(z))
             dissipation.append(acc)
-            phis.append(kernel_functional(disc.unpack(z)))
+            phis.append(weights @ z)
             acc = 0.0
     return EnergySeries(
         times=np.asarray(times),
@@ -197,6 +235,23 @@ def run(x0: StateVector, config: SimulationConfig) -> EnergySeries:
         dissipation=np.asarray(dissipation),
         phi=np.asarray(phis),
     )
+
+
+def phi_weights(disc: DiscreteGenerator) -> np.ndarray:
+    """Weights in generator coordinates with phi(x) = phi_weights @ z.
+
+    The packed form of ``kernel_functional``: 1 on the u(0) slot, the
+    trapezoid weights on the v slots, and the trapezoid weights times
+    (1 - xi) on the w slots, where w(0) is the v(0) slot.
+    """
+    nu, grid = disc.n_u, disc.grid
+    heat = _trapz_weights(grid.n_heat, grid.h_heat) * (1.0 - heat_nodes(grid.n_heat))
+    weights = np.zeros(disc.dim)
+    weights[nu - 1] = 1.0
+    weights[nu : 2 * nu] = _trapz_weights(grid.n_wave, grid.h_wave)[-nu:]
+    weights[2 * nu - 1] += heat[0]
+    weights[2 * nu :] = heat[1:-1]
+    return weights
 
 
 def kernel_functional(x: StateVector) -> float:

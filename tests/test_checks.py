@@ -79,6 +79,25 @@ def test_every_check_can_fail(name, monkeypatch):
     assert result.passed is False, result
 
 
+def test_conjugate_pairs_fails_with_nothing_compared():
+    result = checks.conjugate_pairs([_record(5, -0.1 + 17j)], [_record(-5, -0.1 - 17j)])
+    assert result.passed is False and result.detail.startswith("compared 0 of 1")
+
+
+@pytest.mark.parametrize("nmax", [5, 40])
+def test_battery_compares_every_conjugate_pair(nmax):
+    found = {}
+    for check in checks.battery(nmax, np.random.default_rng(0)):
+        if check.name.startswith("conjugate_pairs"):
+            found[check.name] = check
+            if len(found) == 2:
+                break
+    assert set(found) == {"conjugate_pairs_neumann", "conjugate_pairs_dirichlet"}
+    for check in found.values():
+        assert check.passed, check
+        assert check.detail.startswith(f"compared {nmax - 4} of {nmax - 4},"), check
+
+
 def test_tracer_targets_exist(monkeypatch):
     # the benchmark's traced run patches these bindings; Tier-1 does not
     # collect the benchmark's own tests

@@ -122,12 +122,11 @@ class TestSimulateCommand:
         advance = CrankNicolsonStepper.advance
         calls = []
 
-        def poisoned(self, z):
-            z_new, mid = advance(self, z)
+        def poisoned(self, z, mid):
+            advance(self, z, mid)
             calls.append(1)
             if len(calls) >= 5:
-                return np.full_like(z_new, np.nan), np.full_like(mid, np.nan)
-            return z_new, mid
+                z[:] = mid[:] = np.nan
 
         monkeypatch.setattr(CrankNicolsonStepper, "advance", poisoned)
         code = main(["simulate", "--grid", "64", "--tmax", "20", "--out", str(tmp_path)])
@@ -184,6 +183,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert "FAIL" in out
+
+    def test_writes_no_output_directory(self, tmp_path):
+        # --out is still accepted (config files pass it) but verify writes nothing
+        missing = tmp_path / "missing"
+        assert main(["verify", "--nmax", "5", "--out", str(missing)]) == 0
+        assert not missing.exists()
 
     def test_invalid_nmax_exits_one(self, tmp_path, capsys):
         for nmax in ("-1", "3"):

@@ -94,7 +94,7 @@ class TestAssembly:
             for _ in range(10):
                 x = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
                 form = float(np.real(np.conj(x) @ (gen.W_E @ (gen.A @ x))))
-                diss = gen.dissipation_rate(x)
+                diss = float(np.real(np.conj(x) @ (gen.W_diss @ x)))
                 assert diss >= 0
                 assert abs(form + diss) <= 1e-10 * max(abs(form), 1.0)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -18,6 +20,7 @@ from waveheat.simulator import (
     fit_decay,
     kernel_functional,
     last_clean_decade,
+    phi_weights,
     project_kernel,
     run,
     step,
@@ -96,14 +99,17 @@ class TestStepper:
             z += 1j * rng.standard_normal(disc.dim)
         eye = sp.identity(disc.dim, format="csc")
         ref = spla.spsolve((eye - 0.5 * dt * disc.A).tocsc(), (eye + 0.5 * dt * disc.A) @ z)
-        z_new, mid = CrankNicolsonStepper(disc, dt).advance(z)
+        z_new, mid = z.copy(), np.empty_like(z)
+        CrankNicolsonStepper(disc, dt).advance(z_new, mid)
         assert np.linalg.norm(z_new - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.max(np.abs(mid - 0.5 * (z + z_new))) <= 1e-14 * np.max(np.abs(z))
 
-    @pytest.mark.parametrize(
-        "breakage", ["u_rows_scaled", "u_feedback", "far_coupling", "asymmetric"])
+    @pytest.mark.parametrize("breakage", [
+        "u_rows_scaled", "u_feedback", "far_coupling", "asymmetric",
+        "w_row_coupling", "wide_v_row_coupling"])
     def test_rejects_generator_without_structure(self, breakage):
         disc = assemble(GRID, NEU)
+        dt = GRID.h_wave / 4.0
         A = disc.A.tolil()
         if breakage == "u_rows_scaled":  # u' = 2 v
             A[: disc.n_u] *= 2.0
@@ -111,12 +117,20 @@ class TestStepper:
             A[0, 0] = -1.0
         elif breakage == "far_coupling":  # q-block coupling beyond the band
             A[disc.n_u, disc.dim - 1] = -1.0
-        else:  # one heat-conduction coefficient changed on one side only
+        elif breakage == "asymmetric":  # one heat-conduction coefficient changed on one side only
             row = 2 * disc.n_u
             A[row, row + 1] *= 1.01
+        else:
+            # an A_qu entry c at (row, col) and -a c in A_qq at the v column
+            # col: the Schur entry a (-a c) + a^2 c is exactly 0 (a = dt/2 =
+            # 2^-9), so only the coupling check can see the change
+            nu = disc.n_u
+            row, col = (2 * nu, 0) if breakage == "w_row_coupling" else (nu + 3, 5)
+            A[row, col] = 1.0
+            A[row, nu + col] -= 0.5 * dt
         broken = dataclasses.replace(disc, A=A.tocsr())
         with pytest.raises(SolveFailureError):
-            CrankNicolsonStepper(broken, GRID.h_wave / 4.0)
+            CrankNicolsonStepper(broken, dt)
 
 
 class TestFaultInjection:
@@ -126,14 +140,13 @@ class TestFaultInjection:
         advance = CrankNicolsonStepper.advance
         calls = []
 
-        def poisoned(self, z):
-            z_new, mid = advance(self, z)
+        def poisoned(self, z, mid):
+            advance(self, z, mid)
             calls.append(1)
             if poison == "state_and_midpoint" and len(calls) >= 5:
-                return np.full_like(z_new, np.nan), np.full_like(mid, np.nan)
+                z[:] = mid[:] = np.nan
             if poison == "state_only" and len(calls) == 8:
-                return np.full_like(z_new, np.inf), mid
-            return z_new, mid
+                z[:] = np.inf
 
         monkeypatch.setattr(CrankNicolsonStepper, "advance", poisoned)
         datum = make_domain_data("smooth_bump", GRID, NEU)
@@ -259,6 +272,17 @@ class TestKernelProjection:
         datum = make_domain_data("smooth_bump", GRID, DIR)
         with pytest.raises(VariantError):
             project_kernel(datum.state)
+
+
+class TestPhiWeights:
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_wave=st.integers(8, 40), n_heat=st.integers(8, 40))
+    def test_dot_matches_kernel_functional(self, variant, data, n_wave, n_heat):
+        disc = assemble(GridSpec(n_wave, n_heat), variant)
+        z = data.draw(arrays(float, disc.dim, elements=st.floats(-1e6, 1e6)))
+        phi = kernel_functional(disc.unpack(z))
+        assert abs(phi_weights(disc) @ z - phi) <= 1e-14 * np.abs(z).sum()
 
 
 class TestDecayFit:
