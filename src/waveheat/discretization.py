@@ -118,6 +118,11 @@ class DiscreteGenerator:
         """Stack (u, v, w) into generator coordinates, dropping tied values."""
         if x.n_wave != self.grid.n_wave or x.n_heat != self.grid.n_heat:
             raise ValueError("state grids do not match the generator grid")
+        if x.variant is not self.variant:
+            raise ValueError(
+                f"{x.variant.name.lower()} state given to a "
+                f"{self.variant.name.lower()} generator"
+            )
         if self.variant is BoundaryVariant.NEUMANN:
             parts = [x.u, x.v, x.w[1:-1]]
         else:

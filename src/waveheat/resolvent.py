@@ -62,6 +62,7 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _MAX_SQRT_REAL = 600.0  # exp(Re sqrt(is)) guard for the unscaled heat kernels
+_SNAP_EIGENVALUES = 6  # discrete eigenvalues searched around each resonance target
 
 
 def _sqrt_is(s: float) -> complex:
@@ -73,30 +74,36 @@ def _sqrt_is(s: float) -> complex:
     return z
 
 
-def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(fp):
-        return np.interp(x, xp, fp.real) + 1j * np.interp(x, xp, fp.imag)
-    return np.interp(x, xp, fp)
+def _kernel_integrals(
+    kappa: complex, x: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Causal sinh and cosh kernel integrals of piecewise-linear data.
 
+    Returns (S, C) at every node x_j of the increasing grid x, with
+        S(x_j) = int_{x_0}^{x_j} sinh(kappa (x_j - r)) d(r) dr
+        C(x_j) = int_{x_0}^{x_j} cosh(kappa (x_j - r)) d(r) dr
+    and d linear on each cell.  Every cell is split into the same number
+    of equal panels, none wider than a fifth of 2 pi/|kappa| or 1/4, with
+    6-point Gauss-Legendre on each; the node values are prefix sums of the
+    per-cell moments.  Each exponential is split into two factors of
+    modulus at most exp(|Re kappa| (x_n - x_0)).
+    """
+    dx = np.diff(x)
+    width = min(2.0 * math.pi / (5.0 * max(abs(kappa), 1.0)), 0.25)
+    m = max(1, math.ceil(dx.max() / width))
+    # quadrature points of a cell as fractions of its width, panel by panel
+    frac = ((np.arange(m)[:, None] + 0.5 * (1.0 + _GL_NODES)) / m).ravel()
+    pts = x[:-1, None] + dx[:, None] * frac
+    wd = (dx[:, None] * np.tile(_GL_WEIGHTS / (2 * m), m)) * (
+        d[:-1, None] + (d[1:] - d[:-1])[:, None] * frac
+    )
 
-def _panels(a: float, b: float, grid: np.ndarray, scale: float) -> np.ndarray:
-    """Panel boundaries over [a, b]: data cells subdivided below the kernel scale."""
-    cuts = grid[(grid > a) & (grid < b)]
-    edges = np.concatenate([[a], cuts, [b]])
-    width = min((2.0 * math.pi / max(scale, 1.0)) / 5.0, 0.25)
-    out = [edges[0]]
-    for left, right in zip(edges[:-1], edges[1:]):
-        nsub = max(1, int(math.ceil((right - left) / width)))
-        out.extend(np.linspace(left, right, nsub + 1)[1:])
-    return np.asarray(out)
+    def prefix(moments):
+        return np.concatenate([[0.0], np.cumsum(moments.sum(axis=1))])
 
-
-def _gl_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    wts = half[:, None] * _GL_WEIGHTS[None, :]
-    return pts.ravel(), wts.ravel()
+    grow = np.exp(kappa * (x - x[0])) * prefix(np.exp(-kappa * (pts - x[0])) * wd)
+    decay = np.exp(kappa * (x[-1] - x)) * prefix(np.exp(kappa * (pts - x[-1])) * wd)
+    return 0.5 * (grow - decay), 0.5 * (grow + decay)
 
 
 def particular_wave(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -105,27 +112,12 @@ def particular_wave(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
     Returns (U, U') with
         U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
         U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
-    for the piecewise-linear data, via cumulative cos/sin moments.
+    for the piecewise-linear data: the kernel integrals with kappa = is.
     """
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
-    grid = y.xi_wave
-    edges = _panels(-1.0, 0.0, grid, abs(s))
-    pts, wts = _gl_points(edges)
-    phi = 1j * s * _interp(pts, grid, y.f) + _interp(pts, grid, y.g)
-    cos_m = wts * np.cos(s * pts) * phi
-    sin_m = wts * np.sin(s * pts) * phi
-    cum_cos = np.concatenate([[0.0], np.cumsum(cos_m)])
-    cum_sin = np.concatenate([[0.0], np.cumsum(sin_m)])
-    # panel edges include every data node; map node -> cumulative index
-    node_pos = np.searchsorted(edges, grid)
-    n_per_panel = len(_GL_NODES)
-    c_at = cum_cos[node_pos * n_per_panel]
-    s_at = cum_sin[node_pos * n_per_panel]
-    sin_x, cos_x = np.sin(s * grid), np.cos(s * grid)
-    u_vals = (sin_x * c_at - cos_x * s_at) / s
-    u_ders = cos_x * c_at + sin_x * s_at
-    return u_vals, u_ders
+    sinh_int, cosh_int = _kernel_integrals(1j * s, y.xi_wave, 1j * s * y.f + y.g)
+    return sinh_int / (1j * s), cosh_int
 
 
 def particular_heat(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -134,30 +126,15 @@ def particular_heat(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
     Returns (W, W') with
         W(xi)  = -(1/sqrt(is)) int_xi^1 sinh(sqrt(is) (r - xi)) h(r) dr
         W'(xi) = int_xi^1 cosh(sqrt(is) (r - xi)) h(r) dr
-    via suffix moments of e^{+-z r} h(r), z = sqrt(is).  The rescaled
-    kernels are representable up to Re sqrt(is) ~ 600; beyond that the
-    call is rejected.
+    the kernel integrals with kappa = sqrt(is) in the reflected variable
+    1 - xi.  The kernels are representable up to Re sqrt(is) ~ 600; beyond
+    that the call is rejected.
     """
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
     z = _sqrt_is(s)
-    grid = y.xi_heat
-    edges = _panels(0.0, 1.0, grid, abs(z))
-    pts, wts = _gl_points(edges)
-    hv = _interp(pts, grid, y.h)
-    plus_m = wts * np.exp(z * (pts - 1.0)) * hv      # scaled by e^{-z}
-    minus_m = wts * np.exp(-z * pts) * hv
-    suf_plus = np.concatenate([np.cumsum(plus_m[::-1])[::-1], [0.0]])
-    suf_minus = np.concatenate([np.cumsum(minus_m[::-1])[::-1], [0.0]])
-    node_pos = np.searchsorted(edges, grid)
-    n_per_panel = len(_GL_NODES)
-    p_at = suf_plus[node_pos * n_per_panel]
-    m_at = suf_minus[node_pos * n_per_panel]
-    e_minus = np.exp(z * (1.0 - grid))   # e^{-z xi} * e^{z} rescaling
-    e_plus = np.exp(z * grid)
-    w_vals = -(e_minus * p_at - e_plus * m_at) / (2.0 * z)
-    w_ders = 0.5 * (e_minus * p_at + e_plus * m_at)
-    return w_vals, w_ders
+    sinh_int, cosh_int = _kernel_integrals(z, 1.0 - y.xi_heat[::-1], y.h[::-1])
+    return (-sinh_int / z)[::-1], cosh_int[::-1]
 
 
 @dataclass
@@ -354,9 +331,7 @@ def resolvent_norm_sampled(
     return best
 
 
-def snap_to_resonance(
-    disc: DiscreteGenerator, s_target: float, k: int = 6
-) -> tuple[float, float]:
+def snap_to_resonance(disc: DiscreteGenerator, s_target: float) -> tuple[float, float]:
     """Nearest discrete resonance frequency above the real axis.
 
     Returns (s_eff, gap) where s_eff is the imaginary part of the discrete
@@ -366,7 +341,7 @@ def snap_to_resonance(
     resonances the norm is O(1), and the peak positions move with the
     grid's dispersion error.
     """
-    ev = disc.eigenvalues_near(complex(0.0, abs(s_target)), k=k)
+    ev = disc.eigenvalues_near(complex(0.0, abs(s_target)), k=_SNAP_EIGENVALUES)
     wave = [lam for lam in ev if lam.imag > 0.5]
     lam = min(wave or list(ev), key=lambda e: abs(e.imag - abs(s_target)))
     s_eff = lam.imag

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import daxpy, dcopy, dgbmv, dscal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -374,6 +375,24 @@ def decade_slopes(series: EnergySeries) -> list[tuple[float, float]]:
     return out
 
 
+def _local_slopes(ts: np.ndarray, es: np.ndarray) -> np.ndarray:
+    """Least-squares slope of log E against log t over each centred 5-row window.
+
+    NaN for the two rows at each end and for any window that touches
+    E <= 0 or t <= 0.
+    """
+    out = np.full(len(ts), math.nan)
+    if len(ts) >= 5:
+        # the logs are NaN where t <= 0 or E <= 0, and so is every window slope
+        # that touches one
+        lt = sliding_window_view(np.log(np.where(ts > 0, ts, math.nan)), 5)
+        le = sliding_window_view(np.log(np.where(es > 0, es, math.nan)), 5)
+        lt = lt - lt.mean(axis=1, keepdims=True)
+        le = le - le.mean(axis=1, keepdims=True)
+        out[2:-2] = (lt * le).sum(axis=1) / (lt**2).sum(axis=1)
+    return out
+
+
 def write_energy_csv(series: EnergySeries, path) -> None:
     import csv
 
@@ -381,13 +400,7 @@ def write_energy_csv(series: EnergySeries, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "E", "dissipation_rate", "phi", "local_slope"])
-        logs = np.full(len(ts), math.nan)
-        pos = es > 0
-        lt = np.log(np.maximum(ts, 1e-300))
-        le = np.log(np.where(pos, es, math.nan))
-        for i in range(2, len(ts) - 2):
-            if pos[i - 2 : i + 3].all() and ts[i - 2] > 0:
-                logs[i] = np.polyfit(lt[i - 2 : i + 3], le[i - 2 : i + 3], 1)[0]
+        logs = _local_slopes(ts, es)
         for i in range(len(ts)):
             dt_int = ts[i] - ts[i - 1] if i > 0 else math.nan
             rate = series.dissipation[i] / dt_int if i > 0 else 0.0
@@ -395,9 +408,9 @@ def write_energy_csv(series: EnergySeries, path) -> None:
             writer.writerow(
                 [
                     f"{ts[i]:.9e}",
-                    f"{es[i]:.12e}",
-                    f"{rate:.12e}",
-                    f"{float(np.real(phi)):.12e}",
+                    f"{es[i]:.16e}",
+                    f"{rate:.16e}",
+                    f"{float(np.real(phi)):.16e}",
                     f"{logs[i]:.6e}" if math.isfinite(logs[i]) else "nan",
                 ]
             )

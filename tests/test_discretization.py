@@ -112,6 +112,13 @@ class TestAssembly:
             assert np.allclose(back.u, u) and np.allclose(back.v, v)
             assert np.allclose(back.w, w)
 
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_pack_state_rejects_other_variant(self, variant):
+        other = DIR if variant is NEU else NEU
+        state = make_domain_data("smooth_bump", GridSpec(64, 64), other).state
+        with pytest.raises(ValueError, match="generator"):
+            assemble(GridSpec(64, 64), variant).pack_state(state)
+
 
 class TestGramMatrices:
     def test_constant_state_norms(self):

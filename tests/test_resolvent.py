@@ -116,6 +116,39 @@ class TestParticularIntegrals:
         got = particular_heat(s, heat_data(h))[0][node]
         assert got == pytest.approx(expected, rel=1e-8)
 
+    # n = None takes the sweep grid; 16 cells at high |s| need subdivided cells
+    @pytest.mark.parametrize("s, n", [(2.0, None), (10.0, None), (-50.0, None),
+                                      (1000.0, None), (1000.0, 16)])
+    def test_wave_constant_data_every_node(self, s, n):
+        # U = phi (1 - cos(s(xi+1)))/s^2, U' = phi sin(s(xi+1))/s for constant
+        # i s f + g = phi; errors relative to the modulus bounds 2|phi|/s^2, |phi|/|s|
+        f, g = 0.3, 1.7
+        phi = 1j * s * f + g
+        n = n or required_grid(s, factor=2.5).n_wave
+        grid = wave_nodes(n)
+        u_val, u_der = particular_wave(s, wave_data(np.full(n + 1, f), np.full(n + 1, g)))
+        theta = s * (grid + 1.0)
+        u_err = np.abs(u_val - phi * (1.0 - np.cos(theta)) / s**2) / (2 * abs(phi) / s**2)
+        d_err = np.abs(u_der - phi * np.sin(theta) / s) / (abs(phi) / abs(s))
+        assert u_err.max() <= 1e-11 and d_err.max() <= 1e-11
+
+    @pytest.mark.parametrize("s, n", [(2.0, None), (10.0, None), (-50.0, None),
+                                      (1000.0, None), (5e5, None), (5e5, 16)])
+    def test_heat_constant_data_every_node(self, s, n):
+        # W = h (1 - cosh(z(1-xi)))/z^2, W' = h sinh(z(1-xi))/z, z = sqrt(is);
+        # at s = 5e5, Re z = 500 and cosh(z) ~ 1e217, so this exercises the
+        # split exponentials.  Errors relative to the modulus bounds
+        # |h| (1 + cosh(Re z t))/|z|^2 and |h| cosh(Re z t)/|z|, t = 1 - xi.
+        h = 0.8
+        z = principal_sqrt(1j * s)
+        n = n or required_grid(s, factor=2.5).n_heat
+        t = 1.0 - heat_nodes(n)
+        w_val, w_der = particular_heat(s, heat_data(np.full(n + 1, h)))
+        bound = h * np.cosh(z.real * t)
+        w_err = np.abs(w_val - h * (1.0 - np.cosh(z * t)) / z**2) / ((h + bound) / abs(z) ** 2)
+        d_err = np.abs(w_der - h * np.sinh(z * t) / z) / (bound / abs(z))
+        assert w_err.max() <= 1e-11 and d_err.max() <= 1e-11
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(DegenerateInputError):
             particular_wave(0.0, wave_data(np.ones(9), np.ones(9)))

@@ -14,6 +14,7 @@ from waveheat.discretization import GridSpec, assemble, make_domain_data
 from waveheat.errors import SolveFailureError, VariantError, WindowError
 from waveheat.simulator import (
     CrankNicolsonStepper,
+    _local_slopes,
     EnergySeries,
     SimulationConfig,
     decade_slopes,
@@ -205,6 +206,12 @@ class TestRun:
         series = run(datum.state, config(variant=DIR, t_max=12.0))
         assert checks.energy_monotone(series).passed and checks.energy_balance(series).passed
 
+    def test_state_of_other_variant_rejected(self):
+        # a Dirichlet state must not be packed in the Neumann layout and run
+        datum = make_domain_data("smooth_bump", GRID, DIR)
+        with pytest.raises(ValueError, match="generator"):
+            run(datum.state, config(variant=NEU))
+
     def test_kernel_invariance_long_run(self):
         series = run(constant_state(), config(t_max=20.0))
         # the stationary direction carries no energy and must stay put
@@ -342,3 +349,27 @@ class TestCsv:
         assert lines[0] == "t,E,dissipation_rate,phi,local_slope"
         energies = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(energies[:-1], energies[1:]))
+
+    def test_values_round_trip(self, tmp_path):
+        datum = make_domain_data("smooth_bump", GRID, NEU)
+        series = run(datum.state, config())
+        path = tmp_path / "energy.csv"
+        write_energy_csv(series, path)
+        cols = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3), unpack=True)
+        energy, rate, phi = cols
+        assert np.array_equal(energy, series.energies)
+        assert np.array_equal(rate[1:], series.dissipation[1:] / np.diff(series.times))
+        assert np.array_equal(phi, np.real(series.phi))
+
+    def test_local_slopes_match_polyfit(self):
+        t = np.linspace(0.0, 5.0, 41)
+        e = 3.0 / (1.0 + t) ** 4 * (1.0 + 0.1 * np.sin(7.0 * t))
+        e[20] = 0.0  # windows touching E <= 0 have no slope
+        got = _local_slopes(t, e)
+        for i in range(len(t)):
+            window = slice(i - 2, i + 3)
+            if 2 <= i < len(t) - 2 and t[i - 2] > 0 and np.all(e[window] > 0):
+                expected = np.polyfit(np.log(t[window]), np.log(e[window]), 1)[0]
+                assert got[i] == pytest.approx(expected, rel=1e-12)
+            else:
+                assert math.isnan(got[i])
