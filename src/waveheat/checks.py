@@ -123,10 +123,10 @@ def det_two_path(y: state.DataTriple, frequencies) -> Check:
 
 def resolvent_coupling(s: float, y: state.DataTriple) -> Check:
     """Boundary and interface residuals of the closed-form resolvent, relative to |y|."""
-    x = resolvent.apply_resolvent(s, y)
+    co, wave, heat = resolvent._interface_solve(s, y)
+    x = resolvent._resolvent_state(s, y, co, wave, heat)
     z = characteristic.principal_sqrt(1j * s)
-    co = resolvent.solve_coefficients(s, y)
-    w_prime0 = z * co.b * np.cosh(z) + resolvent.particular_heat(s, y)[1][0]
+    w_prime0 = z * co.b * np.cosh(z) + heat[1][0]
     bc = float(max(abs(x.u_prime[0]), abs(x.w[-1]), abs(x.v[-1] - x.w[0]),
                    abs(x.u_prime[-1] - w_prime0)) / y.norm_X)
     return Check("resolvent_coupling", bc, 1e-8, bc < 1e-8, f"max residual {bc:.2e}")

@@ -160,7 +160,22 @@ def cmd_spectrum(args) -> int:
     return NUMERICAL_EXIT if failures else 0
 
 
+def _non_finite(command: str, **flags) -> bool:
+    """Report on stderr the given float flags that are NaN or infinite."""
+    bad = [f"--{name.replace('_', '-')}" for name, value in flags.items()
+           if value is not None and not math.isfinite(value)]
+    if bad:
+        print(f"waveheat {command}: {', '.join(bad)} must be finite", file=sys.stderr)
+    return bool(bad)
+
+
 def cmd_resolvent(args) -> int:
+    if _non_finite("resolvent", s_min=args.s_min, s_max=args.s_max,
+                   resolution_factor=args.resolution_factor):
+        return USAGE_EXIT
+    if args.trials < 0:
+        print("waveheat resolvent: --trials must be >= 0", file=sys.stderr)
+        return USAGE_EXIT
     if args.s_points < 2 or args.s_min < 2.0 or args.s_max <= args.s_min:
         print("waveheat resolvent: need s-points >= 2 and 2 <= s-min < s-max",
               file=sys.stderr)
@@ -227,6 +242,8 @@ def _simulate_one(variant, grid, dt, tmax, profile, k, stride):
 
 
 def cmd_simulate(args) -> int:
+    if _non_finite("simulate", dt=args.dt, tmax=args.tmax):
+        return USAGE_EXIT
     out = _ensure_outdir(args.out)
     variant = _variant(args.variant)
     try:

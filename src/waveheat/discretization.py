@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs, zgttrf, zgttrs
 
 from .characteristic import BoundaryVariant
 from .errors import InfeasibleProfileError, NoConvergenceError, SolveFailureError
@@ -29,6 +30,7 @@ __all__ = [
     "GridSpec",
     "DiscreteGenerator",
     "DomainDatum",
+    "ShiftedSolve",
     "arpack_start",
     "assemble",
     "make_domain_data",
@@ -158,24 +160,161 @@ class DiscreteGenerator:
     def norm(self, z: np.ndarray) -> float:
         return math.sqrt(max(float(np.real(np.conj(z) @ (self.W @ z))), 0.0))
 
+    def check_displacement_rows(self) -> None:
+        """Raise SolveFailureError unless the rows of u read u' = v exactly.
+
+        Those rows of A must hold n_u nonzeros, all ones at (i, n_u + i).
+        The Crank-Nicolson stepper and the shifted solve both eliminate
+        through this identity.
+        """
+        nu, A = self.n_u, self.A
+        if not (np.all(A.diagonal(nu)[:nu] == 1.0)
+                and np.count_nonzero(A.data[: A.indptr[nu]]) == nu):
+            raise SolveFailureError("generator rows of u do not read u' = v")
+
+    def gram_solver(self):
+        """W^-1 as a function of a complex vector.
+
+        W is the tridiagonal u block K_w + diag(mass_w), factored once by
+        LAPACK pttrf, next to the diagonal q-block mass.
+        """
+        nu, W = self.n_u, self.W
+        main, upper = W.diagonal(), W.diagonal(1)
+        if (np.count_nonzero(main) + 2 * np.count_nonzero(upper[: nu - 1])
+                != W.count_nonzero()):
+            raise SolveFailureError("Gram matrix is not tridiagonal in u and diagonal in q")
+        d, e, info = dpttrf(main[:nu], upper[: nu - 1])
+        if info != 0:
+            raise SolveFailureError(f"Gram matrix is not positive definite (pttrf info {info})")
+        mass_q = main[nu:]
+
+        def solve(x: np.ndarray) -> np.ndarray:
+            out = np.empty(len(x), dtype=complex)
+            # real and imaginary parts of x_u as two right-hand sides
+            parts = np.ascontiguousarray(x[:nu], dtype=complex).view(float).reshape(nu, 2)
+            out[:nu].view(float).reshape(nu, 2)[:] = dpttrs(d, e, parts)[0]
+            np.divide(x[nu:], mass_q, out=out[nu:])
+            return out
+
+        return solve
+
     def eigenvalues_near(self, target: complex, k: int = 6) -> np.ndarray:
         """Discrete eigenvalues closest to ``target``, nearest first.
 
-        A target on an eigenvalue (0 for the Neumann kernel) is singular.
+        ARPACK in shift-invert mode, with (target I - A_h)^-1 applied by
+        ``ShiftedSolve``.  A target that is an eigenvalue to working
+        precision (0 for the Neumann kernel) raises SolveFailureError.
         """
+        shifted = ShiftedSolve(self, target)
+        shape = self.A.shape
         try:
             ev = spla.eigs(
-                sp.csc_matrix(self.A, dtype=complex),
+                # A as a complex operator: shift-invert never multiplies by it
+                spla.LinearOperator(shape, matvec=self.A.dot, dtype=complex),
                 k=min(k, self.dim - 2),
                 sigma=target,
+                # ARPACK asks for (A - sigma I)^-1
+                OPinv=spla.LinearOperator(shape, matvec=lambda y: -shifted.solve(y),
+                                          dtype=complex),
                 return_eigenvectors=False,
                 v0=arpack_start(self.dim),
             )
         except spla.ArpackError as exc:
             raise NoConvergenceError(f"eigenvalues near {target}: {exc}") from exc
-        except RuntimeError as exc:  # splu: A - target is exactly singular
-            raise SolveFailureError(f"eigenvalues near {target}: {exc}") from exc
         return ev[np.argsort(np.abs(ev - target))][:k]
+
+
+class ShiftedSolve:
+    """(sigma I - A_h) x = y for one complex shift sigma, factored once.
+
+    The displacement rows of A_h read u' = v, so x_v = sigma x_u - y_u.
+    Substituting it into the velocity and temperature rows q = (v, w)
+    leaves, for t = (x_u, x_w),
+
+        T t = y_q + (sigma I - A_qq) (y_u, 0),
+        T = (sigma I - A_qq) D - (A_qu, 0),   D = diag(sigma I_u, I_w),
+
+    tridiagonal because A_qq is, and A_qu is tridiagonal in the v rows and
+    zero in the w rows.  The diagonals of T are read off those of A for
+    every complex sigma, 0 included; T is factored by LAPACK gttrf (LU with
+    partial pivoting) and ``solve`` and ``solve_adjoint`` apply
+    (sigma I - A_h)^-1 and its conjugate transpose with gttrs.
+
+    The shift is singular, and SolveFailureError is raised, when gttrf
+    meets an exactly zero pivot or when the smallest pivot is at most
+    n eps times the largest entry of T (n = dim T): T is then singular to
+    working precision, as it is at sigma = 0 for the Neumann kernel.
+    """
+
+    def __init__(self, disc: DiscreteGenerator, sigma: complex):
+        disc.check_displacement_rows()
+        A, nu = disc.A, disc.n_u
+        self._n_u, self.sigma = nu, complex(sigma)
+        # bands of A_qq, and of A_qu in the v rows
+        q_sub, q_main, q_sup = (A.diagonal(k)[nu:] for k in (-1, 0, 1))
+        p_sub, p_main, p_sup = (A.diagonal(-nu - 1)[: nu - 1], A.diagonal(-nu)[:nu],
+                                A.diagonal(1 - nu)[1:nu])
+        banded = sum(map(np.count_nonzero, (q_sub, q_main, q_sup, p_sub, p_main, p_sup)))
+        if banded != np.count_nonzero(A.data[A.indptr[nu]:]):  # all stored q-row values
+            raise SolveFailureError("generator rows of v and w are not tridiagonal")
+        scale = np.ones(disc.dim - nu, dtype=complex)  # the diagonal of D
+        scale[:nu] = self.sigma
+        main = (self.sigma - q_main) * scale
+        main[:nu] -= p_main
+        sub, sup = -q_sub * scale[:-1], -q_sup * scale[1:]
+        sub[: nu - 1] -= p_sub
+        sup[: nu - 1] -= p_sup
+        largest = max(np.abs(sub).max(), np.abs(main).max(), np.abs(sup).max())
+        dl, pivots, du, du2, ipiv, info = zgttrf(sub, main, sup)
+        self._lu = dl, pivots, du, du2, ipiv
+        if info > 0 or np.abs(pivots).min() <= len(main) * np.finfo(float).eps * largest:
+            raise SolveFailureError(f"sigma I - A_h is singular at sigma = {sigma}")
+        # (sigma I - A_qq) (y_u, 0) reads these bands and reaches row n_u
+        self._lift = self.sigma - q_main[:nu]
+        self._q_sub, self._q_sup = q_sub[:nu], q_sup[: nu - 1]
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """x = (sigma I - A_h)^-1 y."""
+        nu = self._n_u
+        y_u = y[:nu]
+        rhs = y[nu:].astype(complex)
+        rhs[:nu] += self._lift * y_u
+        rhs[: nu - 1] -= self._q_sup * y_u[1:]
+        rhs[1 : nu + 1] -= self._q_sub * y_u
+        t = self._gttrs(rhs, "N")
+        x = np.empty(len(y), dtype=complex)
+        x[:nu] = t[:nu]
+        np.multiply(self.sigma, t[:nu], out=x[nu : 2 * nu])
+        x[nu : 2 * nu] -= y_u
+        x[2 * nu :] = t[nu:]
+        return x
+
+    def solve_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """x = (sigma I - A_h)^-H y.
+
+        ``solve`` lifts y to the right-hand side of T, solves, and rebuilds
+        x_v; this applies the conjugate transpose of each step in reverse.
+        """
+        nu = self._n_u
+        y_v = y[nu : 2 * nu]
+        rhs = y[nu:].astype(complex)
+        rhs[:nu] *= self.sigma.conjugate()
+        rhs[:nu] += y[:nu]
+        s = self._gttrs(rhs, "C")
+        x = np.empty(len(y), dtype=complex)
+        x[nu:] = s
+        x_u = x[:nu]
+        np.multiply(self._lift.conj(), s[:nu], out=x_u)
+        x_u -= self._q_sub * s[1 : nu + 1]
+        x_u[1:] -= self._q_sup * s[: nu - 1]
+        x_u -= y_v
+        return x
+
+    def _gttrs(self, rhs: np.ndarray, trans: str) -> np.ndarray:
+        out, info = zgttrs(*self._lu, rhs, trans=trans, overwrite_b=1)
+        if info != 0:
+            raise SolveFailureError(f"gttrs info {info}")
+        return out.ravel()
 
 
 def _build_parts(grid: GridSpec, variant: BoundaryVariant):

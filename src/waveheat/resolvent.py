@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .characteristic import (
@@ -35,14 +34,19 @@ from .characteristic import (
     char_fn_scaled,
     principal_sqrt,
 )
-from .discretization import DiscreteGenerator, GridSpec, arpack_start, assemble
+from .discretization import (
+    DiscreteGenerator,
+    GridSpec,
+    ShiftedSolve,
+    arpack_start,
+    assemble,
+)
 from .errors import (
     DegenerateInputError,
     NoConvergenceError,
     OverflowEvaluationError,
     ResolutionError,
     SingularSystemError,
-    SolveFailureError,
 )
 from .state import DataTriple, StateVector, heat_nodes, wave_nodes
 
@@ -208,7 +212,13 @@ def apply_resolvent(s: float, y: DataTriple) -> StateVector:
     closed form.
     """
     _check_frequency(s)
-    co, (u_part, u_der_part), (w_part, _) = _interface_solve(s, y)
+    return _resolvent_state(s, y, *_interface_solve(s, y))
+
+
+def _resolvent_state(s: float, y: DataTriple, co: ResolventCoefficients,
+                     wave, heat) -> StateVector:
+    """The resolvent state from ``_interface_solve``'s constants and profiles."""
+    (u_part, u_der_part), (w_part, _) = wave, heat
     xw, xh = y.xi_wave, y.xi_heat
     z = _sqrt_is(s)
     u = co.a * np.cos(s * (xw + 1.0)) - u_part
@@ -250,36 +260,30 @@ def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
     Computed as 1/sqrt(mu_min) where mu_min is the smallest eigenvalue of
     the Hermitian pencil B^H W B x = mu W x with B = is I - A_h, i.e. the
     smallest singular value of W^(1/2) B W^(-1/2).  Shift-invert applies
-    (B^H W B)^(-1) = B^(-1) W^(-1) B^(-H) through the LU factors of B and
-    W; factoring the formed product would square B's condition number.
+    (B^H W B)^(-1) = B^(-1) W^(-1) B^(-H): B^(-1) and B^(-H) by the
+    tridiagonal elimination of ``ShiftedSolve``, W^(-1) by the pttrf
+    factor of W's u block and its diagonal q block.  Factoring the formed
+    product would square B's condition number.
     """
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
     _check_resolution(s, disc.grid)
-    B = (1j * s * sp.identity(disc.dim, format="csc") - disc.A).tocsc()
-    W = disc.W
+    shifted = ShiftedSolve(disc, 1j * s)
+    w_solve = disc.gram_solver()
+    gram_inv = spla.LinearOperator(
+        disc.A.shape,
+        matvec=lambda x: shifted.solve(w_solve(shifted.solve_adjoint(x))),
+        dtype=complex,
+    )
     try:
-        factors = [spla.splu(B), spla.splu(sp.csc_matrix(W, dtype=complex))]
-    except RuntimeError as exc:  # B is exactly singular
-        raise SolveFailureError(f"resolvent norm at s = {s}: {exc}") from exc
-
-    def gram_inv(x):
-        lu_b, lu_w = factors
-        return lu_b.solve(lu_w.solve(lu_b.solve(x, trans="H")))
-
-    try:
+        # shift-invert at sigma = 0 applies only OPinv and M; ARPACK reads
+        # the shape and dtype of its first argument and never multiplies by it
         mu = spla.eigsh(
-            spla.LinearOperator(B.shape, lambda x: B.getH() @ (W @ (B @ x)), dtype=complex),
-            k=1, M=W, sigma=0, which="LM", return_eigenvectors=False,
-            OPinv=spla.LinearOperator(B.shape, gram_inv, dtype=complex),
-            v0=arpack_start(disc.dim),
+            gram_inv, k=1, M=disc.W, sigma=0, which="LM", return_eigenvectors=False,
+            OPinv=gram_inv, v0=arpack_start(disc.dim),
         )[0]
     except spla.ArpackError as exc:
         raise NoConvergenceError(f"resolvent norm at s = {s}: {exc}") from exc
-    finally:
-        # ARPACK holds OPinv in a reference cycle; free the factors now,
-        # not at the next garbage collection
-        factors.clear()
     return 1.0 / math.sqrt(float(np.real(mu)))
 
 

@@ -45,8 +45,8 @@ FAULTS = {
     "contour_counts": ((NEU, [1, 2, 1]), None),
     "det_two_path": ((Y, (2.0, 17.0)), (resolvent, "solve_coefficients", lambda real: (
         lambda s, y: SimpleNamespace(M=np.eye(2), detM=ScaledValue(2.0, 0.0))))),
-    "resolvent_coupling": ((10.0, Y), (resolvent, "apply_resolvent", lambda real: (
-        lambda s, y: dataclasses.replace(real(s, y), w=real(s, y).w + 1e-6)))),  # w(1) != 0
+    "resolvent_coupling": ((10.0, Y), (resolvent, "_resolvent_state", lambda real: (
+        lambda *a: dataclasses.replace(real(*a), w=real(*a).w + 1e-6)))),  # w(1) != 0
     # the Dirichlet string is clamped: constant displacement is not stationary
     "kernel_vector": ((assemble(GridSpec(16, 16), DIR),), None),
     "kernel_functional_values": ((16,), (

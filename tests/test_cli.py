@@ -21,6 +21,23 @@ def test_removed_flags_are_usage_errors(argv, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolvent", "--s-min", "nan", "--s-points", "2"],
+    ["resolvent", "--s-max", "inf", "--s-points", "2"],
+    ["resolvent", "--resolution-factor", "inf", "--s-max", "20", "--s-points", "2"],
+    ["resolvent", "--trials", "-3", "--s-max", "20", "--s-points", "2"],
+    ["simulate", "--tmax", "inf", "--grid", "16"],
+    ["simulate", "--tmax", "nan", "--grid", "16"],
+    ["simulate", "--dt", "nan", "--grid", "16"],
+    ["simulate", "--dt", "inf", "--grid", "16"],
+])
+def test_bad_numeric_flags_exit_one(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestSpectrumCommand:
     def test_neumann_record_count(self, tmp_path):
         code = main(["spectrum", "--nmax", "100", "--out", str(tmp_path)])

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from waveheat import checks
 from waveheat.characteristic import BoundaryVariant
-from waveheat.discretization import GridSpec, assemble, make_domain_data
+from waveheat.discretization import GridSpec, ShiftedSolve, assemble, make_domain_data
 from waveheat.errors import SolveFailureError, VariantError, WindowError
 from waveheat.simulator import (
     CrankNicolsonStepper,
@@ -59,6 +59,12 @@ class TestConfig:
     def test_t_max_floor(self):
         with pytest.raises(ValueError):
             SimulationConfig(dt=1e-3, t_max=5.0, grid=GRID, variant=NEU)
+
+    @pytest.mark.parametrize("dt, t_max", [
+        (math.nan, 20.0), (1e-3, math.nan), (1e-3, math.inf), (-math.inf, 20.0)])
+    def test_non_finite_rejected(self, dt, t_max):
+        with pytest.raises(ValueError):
+            SimulationConfig(dt=dt, t_max=t_max, grid=GRID, variant=NEU)
 
 
 class TestStep:
@@ -132,6 +138,9 @@ class TestStepper:
         broken = dataclasses.replace(disc, A=A.tocsr())
         with pytest.raises(SolveFailureError):
             CrankNicolsonStepper(broken, dt)
+        if breakage != "asymmetric":  # the shifted solve needs no symmetry
+            with pytest.raises(SolveFailureError):
+                ShiftedSolve(broken, 3.0 + 20j)
 
 
 class TestFaultInjection:
