@@ -182,9 +182,10 @@ def sampled_below_discrete(rows) -> Check:
 
 
 def dirichlet_no_kernel(gen) -> Check:
-    """The three eigenvalues of the generator nearest 0 lie beyond 0.3."""
-    low = float(np.min(np.abs(gen.eigenvalues_near(0.0, k=3))))
-    return Check("dirichlet_no_kernel", low, 0.3, low > 0.3, f"min |eig| {low:.3f}")
+    """The generator has no eigenvalue in the disk |sigma| < 0.3."""
+    count = gen.count_eigenvalues(0.0, 0.3)
+    return Check("dirichlet_no_kernel", count, 0, count == 0,
+                 f"{count} eigenvalues in |sigma| < 0.3")
 
 
 def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:

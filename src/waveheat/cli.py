@@ -188,6 +188,9 @@ def cmd_resolvent(args) -> int:
             variant, targets, resolution_factor=args.resolution_factor,
             trials=args.trials, seed=args.seed, doubling_check=args.double_check,
         )
+    except ValueError as exc:
+        print(f"waveheat resolvent: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except WaveHeatError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
@@ -243,6 +246,9 @@ def _simulate_one(variant, grid, dt, tmax, profile, k, stride):
 
 def cmd_simulate(args) -> int:
     if _non_finite("simulate", dt=args.dt, tmax=args.tmax):
+        return USAGE_EXIT
+    if args.dt is not None and args.dt <= 0:  # before the default stride divides by it
+        print("waveheat simulate: --dt must be positive", file=sys.stderr)
         return USAGE_EXIT
     out = _ensure_outdir(args.out)
     variant = _variant(args.variant)

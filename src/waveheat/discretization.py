@@ -15,15 +15,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs, zgttrf, zgttrs
 
-from .characteristic import BoundaryVariant
-from .errors import InfeasibleProfileError, NoConvergenceError, SolveFailureError
+from .characteristic import BoundaryVariant, ScaledValue
+from .errors import (
+    ContourTooCloseError,
+    InfeasibleProfileError,
+    NoConvergenceError,
+    SolveFailureError,
+)
+from .spectrum import CONTOUR_NODE_CAP, NEWTON_MAX_ITERS, NEWTON_STEP_TOL
 from .state import StateVector, heat_nodes, wave_nodes
 
 __all__ = [
@@ -198,30 +204,133 @@ class DiscreteGenerator:
 
         return solve
 
-    def eigenvalues_near(self, target: complex, k: int = 6) -> np.ndarray:
-        """Discrete eigenvalues closest to ``target``, nearest first.
+    @cached_property
+    def _t_bands(self) -> tuple[np.ndarray, ...]:
+        """Bands of A_qq, and of A_qu in the v rows, that T(sigma) is built from.
 
-        ARPACK in shift-invert mode, with (target I - A_h)^-1 applied by
-        ``ShiftedSolve``.  A target that is an eigenvalue to working
-        precision (0 for the Neumann kernel) raises SolveFailureError.
+        Raises SolveFailureError unless the rows of u read u' = v and the
+        rows of v and w are tridiagonal in q and in u.
         """
-        shifted = ShiftedSolve(self, target)
-        shape = self.A.shape
-        try:
-            ev = spla.eigs(
-                # A as a complex operator: shift-invert never multiplies by it
-                spla.LinearOperator(shape, matvec=self.A.dot, dtype=complex),
-                k=min(k, self.dim - 2),
-                sigma=target,
-                # ARPACK asks for (A - sigma I)^-1
-                OPinv=spla.LinearOperator(shape, matvec=lambda y: -shifted.solve(y),
-                                          dtype=complex),
-                return_eigenvectors=False,
-                v0=arpack_start(self.dim),
-            )
-        except spla.ArpackError as exc:
-            raise NoConvergenceError(f"eigenvalues near {target}: {exc}") from exc
-        return ev[np.argsort(np.abs(ev - target))][:k]
+        self.check_displacement_rows()
+        A, nu = self.A, self.n_u
+        q_sub, q_main, q_sup = (A.diagonal(k)[nu:] for k in (-1, 0, 1))
+        p_sub, p_main, p_sup = (A.diagonal(-nu - 1)[: nu - 1], A.diagonal(-nu)[:nu],
+                                A.diagonal(1 - nu)[1:nu])
+        bands = q_sub, q_main, q_sup, p_sub, p_main, p_sup
+        if (sum(map(np.count_nonzero, bands))
+                != np.count_nonzero(A.data[A.indptr[nu]:])):  # all stored q-row values
+            raise SolveFailureError("generator rows of v and w are not tridiagonal")
+        return bands
+
+    def _factor_t(self, sigma: complex, guard: bool):
+        """LAPACK gttrf factors (dl, d, du, du2, ipiv) of T(sigma) and gttrf's info.
+
+        With ``guard`` a shift that is singular to working precision raises
+        SolveFailureError: gttrf meets an exactly zero pivot, or the smallest
+        pivot is at most n eps times the largest entry of T (n = dim T).
+        """
+        q_sub, q_main, q_sup, p_sub, p_main, p_sup = self._t_bands
+        nu = self.n_u
+        scale = np.ones(len(q_main), dtype=complex)  # the diagonal of D
+        scale[:nu] = sigma
+        main = (sigma - q_main) * scale
+        main[:nu] -= p_main
+        sub, sup = -q_sub * scale[:-1], -q_sup * scale[1:]
+        sub[: nu - 1] -= p_sub
+        sup[: nu - 1] -= p_sup
+        dl, d, du, du2, ipiv, info = zgttrf(sub, main, sup)
+        if guard:
+            largest = max(np.abs(sub).max(), np.abs(main).max(), np.abs(sup).max())
+            if info > 0 or np.abs(d).min() <= len(main) * np.finfo(float).eps * largest:
+                raise SolveFailureError(f"sigma I - A_h is singular at sigma = {sigma}")
+        return (dl, d, du, du2, ipiv), info
+
+    def _det_t(self, sigma: complex, guard: bool = False) -> ScaledValue:
+        """det T(sigma) = det(sigma I - A_h) at one point, from gttrf's pivots."""
+        (_, d, _, _, ipiv), info = self._factor_t(sigma, guard)
+        if info > 0:  # an exactly zero pivot: sigma is a root
+            return ScaledValue(0j, 0.0)
+        mag = np.abs(d)
+        # gttrf's ipiv[i] (1-based) is i + 1, or i + 2 after an interchange
+        swaps = int(ipiv.sum()) - len(ipiv) * (len(ipiv) + 1) // 2
+        return ScaledValue(complex(np.prod(d / mag)) * (-1) ** swaps,
+                           float(np.log(mag).sum()))
+
+    def char_det(self, sigma) -> ScaledValue:
+        """The discrete characteristic determinant det(sigma I - A_h), scaled.
+
+        ``ShiftedSolve`` eliminates x_v, which leaves T(sigma) = S D with
+        S the Schur complement and D = diag(sigma I_u, I_w), so
+        det(sigma I - A_h) = sigma^n_u det S = det T(sigma), a polynomial in
+        sigma for every complex sigma, 0 included.  ``log_scale`` is the sum
+        of log |pivot| of T's gttrf factors; ``mantissa`` is the product of
+        the pivot phases, with a factor -1 for each row interchange.  An
+        array of points gives arrays of both fields.
+        """
+        if np.ndim(sigma) == 0:
+            return self._det_t(complex(sigma))
+        points = np.asarray(sigma, dtype=complex)
+        values = [self._det_t(p) for p in points.ravel()]
+        return ScaledValue(np.array([v.mantissa for v in values]).reshape(points.shape),
+                           np.array([v.log_scale for v in values]).reshape(points.shape))
+
+    def eigenvalues_near(self, seeds) -> np.ndarray:
+        """One discrete eigenvalue per seed: a secant root of ``char_det``.
+
+        The secant step uses the ratio of successive determinants, whose
+        log scales are subtracted before exponentiating, so nothing
+        overflows.  It stops when the step is at most NEWTON_STEP_TOL
+        max(|sigma|, 1), or at an iterate where gttrf meets a zero pivot.
+        A seed that is singular by ``ShiftedSolve``'s pivot rule (0 for the
+        Neumann kernel) raises SolveFailureError; NEWTON_MAX_ITERS steps
+        without convergence raise NoConvergenceError.
+        """
+        return np.array([self._secant_root(complex(seed)) for seed in seeds], dtype=complex)
+
+    def _secant_root(self, seed: complex) -> complex:
+        prev, f_prev = seed, self._det_t(seed, guard=True)
+        # a relative sqrt(eps) offset: the first step is a forward-difference Newton step
+        cur = seed + math.sqrt(np.finfo(float).eps) * max(abs(seed), 1.0)
+        for _ in range(NEWTON_MAX_ITERS):
+            f_cur = self._det_t(cur)
+            if f_cur.mantissa == 0:
+                return cur
+            # f_prev / f_cur, its exponent clipped: beyond it the step is below any tolerance
+            ratio = (f_prev.mantissa / f_cur.mantissa) * math.exp(
+                min(f_prev.log_scale - f_cur.log_scale, 700.0))
+            if ratio == 1:  # equal values: the secant has no slope
+                break
+            step = (cur - prev) / (1.0 - ratio)
+            prev, f_prev, cur = cur, f_cur, cur - step
+            if abs(step) <= NEWTON_STEP_TOL * max(abs(cur), 1.0):
+                return cur
+        raise NoConvergenceError(f"secant iteration on det(sigma I - A_h) from {seed} "
+                                 f"did not converge within {NEWTON_MAX_ITERS} steps")
+
+    def count_eigenvalues(self, center: complex, radius: float) -> int:
+        """Discrete eigenvalues inside the circle |sigma - center| = radius.
+
+        The winding number of ``char_det``'s mantissa phase around the
+        circle.  The node count starts at 16 and is doubled until two
+        successive levels give the same count, up to CONTOUR_NODE_CAP nodes.
+        det(sigma I - A_h) is a polynomial: there is no branch cut.  A node
+        where gttrf meets a zero pivot raises ContourTooCloseError.
+        """
+        prev = None
+        n = 16  # each node is one gttrf factorization
+        while n <= CONTOUR_NODE_CAP:
+            nodes = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
+            mantissa = self.char_det(nodes).mantissa
+            if not mantissa.all():
+                raise ContourTooCloseError(f"eigenvalue on the contour at "
+                                           f"{nodes[mantissa == 0][0]}")
+            turns = np.angle(np.roll(mantissa, -1) / mantissa).sum() / (2 * math.pi)
+            cur = round(turns)
+            if cur == prev:
+                return cur
+            prev, n = cur, 2 * n
+        raise NoConvergenceError(
+            f"winding number failed to stabilize below {CONTOUR_NODE_CAP} contour nodes")
 
 
 class ShiftedSolve:
@@ -247,28 +356,10 @@ class ShiftedSolve:
     """
 
     def __init__(self, disc: DiscreteGenerator, sigma: complex):
-        disc.check_displacement_rows()
-        A, nu = disc.A, disc.n_u
-        self._n_u, self.sigma = nu, complex(sigma)
-        # bands of A_qq, and of A_qu in the v rows
-        q_sub, q_main, q_sup = (A.diagonal(k)[nu:] for k in (-1, 0, 1))
-        p_sub, p_main, p_sup = (A.diagonal(-nu - 1)[: nu - 1], A.diagonal(-nu)[:nu],
-                                A.diagonal(1 - nu)[1:nu])
-        banded = sum(map(np.count_nonzero, (q_sub, q_main, q_sup, p_sub, p_main, p_sup)))
-        if banded != np.count_nonzero(A.data[A.indptr[nu]:]):  # all stored q-row values
-            raise SolveFailureError("generator rows of v and w are not tridiagonal")
-        scale = np.ones(disc.dim - nu, dtype=complex)  # the diagonal of D
-        scale[:nu] = self.sigma
-        main = (self.sigma - q_main) * scale
-        main[:nu] -= p_main
-        sub, sup = -q_sub * scale[:-1], -q_sup * scale[1:]
-        sub[: nu - 1] -= p_sub
-        sup[: nu - 1] -= p_sup
-        largest = max(np.abs(sub).max(), np.abs(main).max(), np.abs(sup).max())
-        dl, pivots, du, du2, ipiv, info = zgttrf(sub, main, sup)
-        self._lu = dl, pivots, du, du2, ipiv
-        if info > 0 or np.abs(pivots).min() <= len(main) * np.finfo(float).eps * largest:
-            raise SolveFailureError(f"sigma I - A_h is singular at sigma = {sigma}")
+        self._n_u, self.sigma = disc.n_u, complex(sigma)
+        self._lu, _ = disc._factor_t(self.sigma, guard=True)
+        q_sub, q_main, q_sup = disc._t_bands[:3]
+        nu = self._n_u
         # (sigma I - A_qq) (y_u, 0) reads these bands and reaches row n_u
         self._lift = self.sigma - q_main[:nu]
         self._q_sub, self._q_sup = q_sub[:nu], q_sup[: nu - 1]

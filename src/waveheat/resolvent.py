@@ -66,7 +66,7 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _MAX_SQRT_REAL = 600.0  # exp(Re sqrt(is)) guard for the unscaled heat kernels
-_SNAP_EIGENVALUES = 6  # discrete eigenvalues searched around each resonance target
+_DIRICHLET_BRANCH_0 = -0.7256 + 0.9716j  # continuous root of Dirichlet branch 0, to 4 digits
 
 
 def _sqrt_is(s: float) -> complex:
@@ -238,8 +238,11 @@ def required_grid(s: float, factor: float = 1.0, floor: int = 48) -> GridSpec:
     """Grid satisfying the frequency resolution rule, optionally oversampled.
 
     The rule asks for >= 10 wave points per wavelength 2 pi/|s| and >= 10
-    heat points per boundary-layer width |s|^(-1/2).
+    heat points per boundary-layer width |s|^(-1/2).  ``factor`` must be
+    positive.
     """
+    if not factor > 0:
+        raise ValueError(f"resolution factor must be positive, got {factor}")
     n_w = max(floor, int(math.ceil(factor * 10.0 * abs(s) / (2.0 * math.pi))))
     n_h = max(floor, int(math.ceil(factor * 10.0 * math.sqrt(abs(s)))))
     return GridSpec(n_w, n_h)
@@ -344,12 +347,35 @@ def snap_to_resonance(disc: DiscreteGenerator, s_target: float) -> tuple[float, 
     envelope grid-stable, which pointwise frequencies are not: between
     resonances the norm is O(1), and the peak positions move with the
     grid's dispersion error.
+
+    The lumped-mass string has the dispersion relation
+    y = (2/h) sin(h c/2) between a continuous frequency c and its grid
+    frequency y.  Inverting it at s_target gives the nearest branch index
+    n0, with c_n = (n + 1/2) pi for Neumann and n pi for Dirichlet.  The
+    branches n0 - 1, n0 and n0 + 1 are seeded at their grid frequency y_n
+    with the asymptotic real part -1/sqrt(2 |y_n|), and Dirichlet branch 0,
+    which has no asymptotic seed, at its continuous root; ``eigenvalues_near``
+    polishes them.  The three roots must be distinct and bracket s_target in
+    the imaginary part, so that no root between them is left unseeded; gap
+    is the distance from i*s_eff to the nearest of them.
     """
-    ev = disc.eigenvalues_near(complex(0.0, abs(s_target)), k=_SNAP_EIGENVALUES)
-    wave = [lam for lam in ev if lam.imag > 0.5]
-    lam = min(wave or list(ev), key=lambda e: abs(e.imag - abs(s_target)))
+    s = abs(s_target)
+    h = disc.grid.h_wave
+    off = 0.5 if disc.variant is BoundaryVariant.NEUMANN else 0.0
+    c = (2.0 / h) * math.asin(min(h * s / 2.0, 1.0))
+    n0 = round(c / math.pi - off)
+    seeds = []
+    for n in (n0 - 1, n0, n0 + 1):
+        y = (2.0 / h) * math.sin(h * (n + off) * math.pi / 2.0)  # 0 on Dirichlet branch 0
+        seeds.append(complex(-1.0 / math.sqrt(2.0 * abs(y)), y) if y else _DIRICHLET_BRANCH_0)
+    roots = disc.eigenvalues_near(seeds)
+    im = roots.imag
+    if not (im[0] < im[1] < im[2] and im[0] <= s <= im[2]):
+        raise NoConvergenceError(
+            f"roots {roots} from branches {n0 - 1}..{n0 + 1} do not bracket i*{s}")
+    lam = min(roots, key=lambda e: abs(e.imag - s))
     s_eff = lam.imag
-    gap = min(abs(complex(0.0, s_eff) - e) for e in ev)
+    gap = min(abs(complex(0.0, s_eff) - e) for e in roots)
     return s_eff, gap
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "polish",
     "count_zeros_contour",
     "asymptotics_report",
+    "decay_envelope",
     "enumerate_eigenvalues",
     "write_eigenvalues_csv",
 ]
@@ -233,6 +234,20 @@ def asymptotics_report(records: list[EigenvalueRecord]) -> AsymptoticsReport:
         all_re_negative=all(r["re"] < 0.0 for r in rows),
         containment_threshold=threshold,
     )
+
+
+def decay_envelope(records: list[EigenvalueRecord], ts) -> np.ndarray:
+    """The spectral lower bound L(t) = max_n exp(t Re lam_n)/|lam_n| at each t.
+
+    Each eigenpair gives T(t) A^-1 e = (exp(lam t)/lam) e, so L(t) bounds
+    ||T(t) A^-1|| from below in any norm.  With Re lam ~ -c/sqrt|Im lam|
+    its maximum is 4 exp(-2)/(c^2 t^2): the t^-2 rate the |s|^(1/2)
+    resolvent bound gives from above.  The maximizing index grows like t^2,
+    so the records must reach it.
+    """
+    lam = np.array([r.lam for r in records])
+    return np.max(np.exp(np.outer(np.asarray(ts, dtype=float), lam.real)) / np.abs(lam),
+                  axis=1)
 
 
 def enumerate_eigenvalues(

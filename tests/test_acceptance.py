@@ -26,7 +26,7 @@ from waveheat.simulator import (
     project_kernel,
     run,
 )
-from waveheat.spectrum import count_zeros_contour, polish, seeds
+from waveheat.spectrum import count_zeros_contour, decay_envelope, polish, seeds
 from waveheat.state import DataTriple, StateVector, heat_nodes, wave_nodes
 
 from conftest import defining_residual, smooth_triple
@@ -37,6 +37,10 @@ DIR = BoundaryVariant.DIRICHLET
 DECAY_GRID_N = 800
 DECAY_SLOPE_BOUND = -3.7
 SLOPE_JITTER = 0.1  # decade-slope monotonicity allowance for fit noise
+# t^2 L(t) over t in [10, 300] measured 1.0827-1.2431 (Neumann) and
+# 1.0827-1.2485 (Dirichlet); its limit is 8 exp(-2) = 1.08268
+ENVELOPE_BAND = (1.08, 1.26)
+ENVELOPE_SLOPE_TOL = 0.05  # measured log-log slopes -2.0214, -2.0216
 
 
 def _passed(*results):
@@ -256,3 +260,20 @@ def test_criterion_9c_dirichlet_resolvent_growth(dirichlet_sweep):
 
 def test_criterion_9d_dirichlet_energy_decay(dirichlet_k1_series):
     _check_decay(dirichlet_k1_series, "9 dirichlet decay")
+
+
+@pytest.mark.parametrize("variant", [NEU, DIR], ids=["neumann", "dirichlet"])
+def test_criterion_10_sharp_rate_envelope(variant):
+    # every eigenpair bounds ||T(t) A^-1|| below by exp(t Re lam)/|lam|; the
+    # maximizing branch grows like t^2/(8 pi), about 3,600 at t = 300
+    records = [polish(d, variant) for d in seeds(variant, 4000) if d.n >= 0]
+    ts = np.logspace(1, math.log10(300.0), 41)
+    envelope = decay_envelope(records, ts)
+    scaled = ts**2 * envelope
+    slope = float(np.polyfit(np.log(ts), np.log(envelope), 1)[0])
+    lo, hi = ENVELOPE_BAND
+    assert lo <= scaled.min() and scaled.max() <= hi
+    assert abs(slope + 2.0) <= ENVELOPE_SLOPE_TOL
+    print(f"PASS criterion[10 {variant.value} sharp-rate envelope]: t^2 L(t) in "
+          f"[{scaled.min():.4f}, {scaled.max():.4f}] within [{lo}, {hi}], "
+          f"log-log slope {slope:.4f} (-2 +- {ENVELOPE_SLOPE_TOL})")

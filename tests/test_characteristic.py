@@ -88,6 +88,20 @@ class TestCharFn:
 
 
 class TestCharFnScaled:
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @given(points=st.lists(st.builds(complex, st.floats(-1000.0, 1000.0),
+                                     st.floats(-1000.0, 1000.0)), min_size=1, max_size=8))
+    def test_schwarz_reflection(self, variant, points):
+        # D(conj lam) = conj D(lam) off the cut, for a point and for an array
+        points = [p for p in points if not (p.imag == 0 and p.real <= 0)]
+        lam = np.array(points, dtype=complex)
+        pairs = [(*char_fn_scaled(p, variant), *char_fn_scaled(p.conjugate(), variant))
+                 for p in points]
+        pairs += zip(*char_fn_scaled(lam, variant), *char_fn_scaled(lam.conj(), variant))
+        for m, ls, m_conj, ls_conj in pairs:
+            aligned = m_conj * math.exp(ls_conj - ls)
+            assert abs(aligned - m.conjugate()) <= 1e-12 * abs(m)
+
     def test_huge_frequency_no_overflow(self):
         m, ls = char_fn_scaled(1e6j, NEU)
         assert cmath.isfinite(m) and math.isfinite(ls)

@@ -58,8 +58,8 @@ FAULTS = {
     "norm_times_gap": (([{"norm_discrete": 2.0, "spectral_lower_bound": 1.0},
                          {"norm_discrete": 0.9, "spectral_lower_bound": 1.0}],), None),
     "sampled_below_discrete": (([{"norm_discrete": 1.0, "norm_sampled": 1.1}],), None),
-    "dirichlet_no_kernel": (
-        (SimpleNamespace(eigenvalues_near=lambda target, k: np.array([0.1, 1.0, 2.0])),), None),
+    # the Neumann generator's kernel is the one eigenvalue in |sigma| < 0.3
+    "dirichlet_no_kernel": ((assemble(GridSpec(16, 16), NEU),), None),
 }
 
 

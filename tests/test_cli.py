@@ -30,6 +30,9 @@ def test_removed_flags_are_usage_errors(argv, tmp_path, capsys):
     ["simulate", "--tmax", "nan", "--grid", "16"],
     ["simulate", "--dt", "nan", "--grid", "16"],
     ["simulate", "--dt", "inf", "--grid", "16"],
+    ["simulate", "--grid", "16", "--tmax", "10", "--dt", "0"],
+    ["resolvent", "--resolution-factor", "0", "--s-max", "20", "--s-points", "2"],
+    ["resolvent", "--resolution-factor", "-1", "--s-max", "20", "--s-points", "2"],
 ])
 def test_bad_numeric_flags_exit_one(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -90,7 +93,7 @@ class TestResolventCommand:
         def fail(*args, **kwargs):
             raise spla.ArpackNoConvergence("injected", np.array([]), np.array([]))
 
-        monkeypatch.setattr(spla, "eigs", fail)
+        monkeypatch.setattr(spla, "eigsh", fail)  # the discrete norm's ARPACK call
         code = main(["resolvent", "--s-min", "10", "--s-max", "20",
                      "--s-points", "2", "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -102,8 +105,8 @@ class TestResolventCommand:
         assert main(["resolvent", "--s-min", "1", "--out", str(tmp_path)]) == 1
 
     def test_deterministic_output(self, tmp_path):
-        # two sweeps up to s = 300 (dimension 2823) through the ARPACK
-        # paths of snapping and the discrete norm
+        # two sweeps up to s = 300 (dimension 2823) through secant snapping
+        # and the ARPACK path of the discrete norm
         for sub in ("a", "b"):
             code = main(["resolvent", "--s-min", "10", "--s-max", "300",
                          "--s-points", "3", "--trials", "5", "--seed", "11",

@@ -49,7 +49,7 @@ class TestAssembly:
         errs = []
         for n in (48, 96, 192):
             gen = assemble(GridSpec(n, n), NEU)
-            errs.append(abs(gen.eigenvalues_near(target, k=1)[0] - target))
+            errs.append(abs(gen.eigenvalues_near([target])[0] - target))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
             assert 1.7 <= order <= 2.3
@@ -62,19 +62,19 @@ class TestAssembly:
         for j, n in enumerate(grids):
             gen = assemble(GridSpec(n, n), NEU)
             for i, tgt in enumerate(targets):
-                errs[i, j] = abs(gen.eigenvalues_near(tgt, k=1)[0] - tgt)
+                errs[i, j] = abs(gen.eigenvalues_near([tgt])[0] - tgt)
         hs = np.log([1.0 / n for n in grids])
         for i in range(len(targets)):
             slope = np.polyfit(hs, np.log(errs[i]), 1)[0]
             assert abs(slope - 2.0) <= 0.3
 
     def test_dirichlet_spectrum_bounded_away_from_zero(self):
-        gaps = []
+        # no eigenvalue within 0.5 of 0, and the nearest pair (|lam| = 1.2127
+        # for the continuous root) in the same 2.5 % annulus on both grids
         for n in (64, 128):
             gen = assemble(GridSpec(n, n), DIR)
-            gaps.append(float(np.abs(gen.eigenvalues_near(0.0, k=1)).min()))
-        assert min(gaps) > 0.5
-        assert abs(gaps[0] - gaps[1]) < 0.05 * gaps[1]
+            counts = [gen.count_eigenvalues(0.0, r) for r in (0.5, 1.2, 1.23)]
+            assert counts == [0, 0, 2]
 
     def test_eigenvalues_near_match_dense(self):
         import scipy.linalg
@@ -83,15 +83,21 @@ class TestAssembly:
             gen = assemble(GridSpec(24, 16), variant)
             dense = scipy.linalg.eigvals(gen.A.toarray())
             for target in (0.5 + 3j, -2.0 + 10j, NEUMANN_ROOTS[2]):
-                near = gen.eigenvalues_near(target, k=4)
-                expected = dense[np.argsort(np.abs(dense - target))][:4]
+                order = np.argsort(np.abs(dense - target))
+                expected = dense[order][:4]
+                # a seed at an eigenvalue to working precision is a singular shift
+                near = gen.eigenvalues_near(expected + 1e-3 * (1 + 1j))
                 assert np.abs(near - expected).max() <= 1e-10 * abs(target)
+                # the disk about the target out to between its 4th and 5th
+                # nearest eigenvalue holds those 4
+                dist = np.abs(dense[order[3:5]] - target)
+                assert gen.count_eigenvalues(target, dist.mean()) == 4
 
     def test_neumann_kernel_target_is_singular(self):
         # at (100, 37) gttrf leaves a pivot of about 1e-12 instead of an exact zero
         for grid in (GridSpec(64, 64), GridSpec(100, 37)):
             with pytest.raises(SolveFailureError):
-                assemble(grid, NEU).eigenvalues_near(0.0)
+                assemble(grid, NEU).eigenvalues_near([0.0])
 
     def test_exact_discrete_dissipativity(self, rng):
         for variant in (NEU, DIR):
@@ -179,6 +185,38 @@ class TestShiftedSolve:
         gen = assemble(GridSpec(40, 24), variant)
         x = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
         assert _backward_error(gen.W, gen.gram_solver()(x), x) <= 1e-13
+
+
+class TestCharDet:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        variant=st.sampled_from([NEU, DIR]),
+        n_wave=st.integers(8, 48),
+        n_heat=st.integers(8, 48),
+        sigma=st.complex_numbers(max_magnitude=1e3, allow_subnormal=False),
+    )
+    def test_matches_dense_slogdet_and_reflects(self, variant, n_wave, n_heat, sigma):
+        gen = assemble(GridSpec(n_wave, n_heat), variant)
+        det, mirror = gen.char_det(sigma), gen.char_det(sigma.conjugate())
+        # A_h is real: det(conj(sigma) I - A_h) = conj det(sigma I - A_h)
+        assert mirror.log_scale == pytest.approx(det.log_scale, rel=1e-14, abs=1e-14)
+        assert abs(mirror.mantissa - det.mantissa.conjugate()) <= 1e-14 * abs(det.mantissa)
+        B = sigma * np.eye(gen.dim) - gen.A.toarray()
+        # near an eigenvalue both factorizations lose the small pivot's digits
+        assume(np.abs(np.linalg.eigvals(gen.A.toarray()) - sigma).min()
+               > 1e-6 * max(abs(sigma), 1.0))
+        sign, logabs = np.linalg.slogdet(B)
+        assert abs(det.log_scale + math.log(abs(det.mantissa)) - logabs) <= 1e-10 * max(
+            abs(logabs), 1.0)
+        assert abs(np.angle(det.mantissa / sign)) <= 1e-9
+
+    def test_array_matches_points(self):
+        gen = assemble(GridSpec(20, 12), DIR)
+        points = np.array([[3 + 4j, -1.5 + 0.2j], [0.0, 250j]])
+        values = gen.char_det(points)
+        assert values.mantissa.shape == values.log_scale.shape == points.shape
+        for m, ls, p in zip(values.mantissa.ravel(), values.log_scale.ravel(), points.ravel()):
+            assert (m, ls) == gen.char_det(p)
 
 
 class TestGramMatrices:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from waveheat import checks
@@ -263,12 +264,38 @@ class TestNorms:
             resolvent_norm_discrete(20.0, disc)
 
     def test_arpack_results_repeat_exactly(self):
-        # the fixed start vector makes repeated ARPACK calls bit-equal
+        # the fixed start vector makes repeated ARPACK calls bit-equal; a
+        # secant root depends on its seed alone
         disc = assemble(GridSpec(600, 300), NEU)
-        first = disc.eigenvalues_near(150j), resolvent_norm_discrete(150.0, disc)
-        second = disc.eigenvalues_near(150j), resolvent_norm_discrete(150.0, disc)
+        first = disc.eigenvalues_near([150j]), resolvent_norm_discrete(150.0, disc)
+        second = disc.eigenvalues_near([150j]), resolvent_norm_discrete(150.0, disc)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(variant=st.sampled_from(list(BoundaryVariant)), factor=st.floats(1.0, 4.0),
+           s=st.floats(3.0, 60.0))
+    # below s = 2.3 the Dirichlet resonance is the branch-0 root near 0.97 i
+    @example(variant=BoundaryVariant.DIRICHLET, factor=2.5, s=2.0)
+    def test_snap_matches_dense_rule(self, variant, factor, s):
+        # the rule snapping used with ARPACK, applied to all eigenvalues of A_h
+        disc = assemble(required_grid(s, factor), variant)
+        assume(disc.dim <= 700)
+        ev = np.linalg.eigvals(disc.A.toarray())
+        near = ev[np.argsort(np.abs(ev - 1j * s))][:6]
+        lam = min(near[near.imag > 0.5], key=lambda e: abs(e.imag - s))
+        gap = np.abs(1j * lam.imag - near).min()
+        s_eff, snap_gap = snap_to_resonance(disc, s)
+        assert s_eff == pytest.approx(lam.imag, rel=1e-10)
+        assert snap_gap == pytest.approx(gap, rel=1e-9)
+        assert disc.count_eigenvalues(1j * s_eff, 2 * snap_gap) == 1
+
+    @pytest.mark.parametrize("roots", [[1j, 2j, 3j], [18j, 18j, 23j], [23j, 18j, 30j]])
+    def test_snap_rejects_roots_not_bracketing(self, roots, monkeypatch):
+        disc = assemble(required_grid(20.0), NEU)
+        monkeypatch.setattr(type(disc), "eigenvalues_near", lambda self, seeds: np.array(roots))
+        with pytest.raises(NoConvergenceError):
+            snap_to_resonance(disc, 20.0)
 
     def test_negative_frequency_symmetry(self):
         grid = required_grid(25.0, factor=2.0)
