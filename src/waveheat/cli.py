@@ -1,7 +1,8 @@
 """Command-line entry point: sweeps, CSV emission and SVG plots.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 numerical failure.
-A key=value config file can seed any long flag; explicit flags win.
+A key=value config file can seed any long flag, a boolean one with true
+or false; explicit flags win.
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ def build_parser() -> _Parser:
     return p
 
 
+def _boolean_flags(command: str) -> set[str]:
+    """The store_true flags of subcommand ``command``, as spelled on the command line."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions if command in sub.choices else []
+    return {flag for action in actions if isinstance(action, argparse._StoreTrueAction)
+            for flag in action.option_strings}
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend file-sourced flags so explicit command-line flags win."""
     if "--config" in argv:
@@ -101,6 +110,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if not pref:
             return argv
         path = pref[0]
+    booleans = _boolean_flags(argv[1])
     extra: list[str] = []
     try:
         for line in Path(path).read_text().splitlines():
@@ -108,7 +118,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            extra.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+            flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
+            if flag not in booleans or value.lower() not in ("true", "false"):
+                extra.append(f"{flag}={value}")
+            elif value.lower() == "true":
+                extra.append(flag)
     except OSError as exc:
         print(f"waveheat: cannot read config file: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT) from exc
@@ -130,11 +144,13 @@ def _ensure_outdir(path: str) -> Path:
 
 
 def cmd_spectrum(args) -> int:
-    if args.nmax < 0:
-        print("waveheat spectrum: --nmax must be >= 0", file=sys.stderr)
+    variant = _variant(args.variant)
+    least = 1 if variant is ch.BoundaryVariant.DIRICHLET else 0  # Dirichlet has no branch 0
+    if args.nmax < least:
+        print(f"waveheat spectrum: --nmax must be >= {least} for {variant.value}",
+              file=sys.stderr)
         return USAGE_EXIT
     out = _ensure_outdir(args.out)
-    variant = _variant(args.variant)
     records = []
     failures = 0
     for seed in spx.seeds(variant, args.nmax):
@@ -144,12 +160,11 @@ def cmd_spectrum(args) -> int:
             failures += 1
             print(f"polish failed for n={seed.n}: {exc}", file=sys.stderr)
     spx.write_eigenvalues_csv(records, out / "eigenvalues.csv")
-    svg_plot(
-        out / "eigenvalues.svg",
-        [Series(x=[r.lam.real for r in records], y=[r.lam.imag for r in records],
-                label=f"{variant.value} roots", marker=True)],
-        title="eigenvalue cloud", xlabel="Re", ylabel="Im",
-    )
+    if records:  # else every polish failed: nothing to plot, and the exit is 2
+        svg_plot(out / "eigenvalues.svg",
+                 [Series(x=[r.lam.real for r in records], y=[r.lam.imag for r in records],
+                         label=f"{variant.value} roots", marker=True)],
+                 title="eigenvalue cloud", xlabel="Re", ylabel="Im")
     print(f"wrote {len(records)} records to {out/'eigenvalues.csv'}")
     if len(records) >= 20:
         rep = spx.asymptotics_report(records)

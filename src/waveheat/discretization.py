@@ -166,18 +166,6 @@ class DiscreteGenerator:
     def norm(self, z: np.ndarray) -> float:
         return math.sqrt(max(float(np.real(np.conj(z) @ (self.W @ z))), 0.0))
 
-    def check_displacement_rows(self) -> None:
-        """Raise SolveFailureError unless the rows of u read u' = v exactly.
-
-        Those rows of A must hold n_u nonzeros, all ones at (i, n_u + i).
-        The Crank-Nicolson stepper and the shifted solve both eliminate
-        through this identity.
-        """
-        nu, A = self.n_u, self.A
-        if not (np.all(A.diagonal(nu)[:nu] == 1.0)
-                and np.count_nonzero(A.data[: A.indptr[nu]]) == nu):
-            raise SolveFailureError("generator rows of u do not read u' = v")
-
     def gram_solver(self):
         """W^-1 as a function of a complex vector.
 
@@ -208,11 +196,14 @@ class DiscreteGenerator:
     def _t_bands(self) -> tuple[np.ndarray, ...]:
         """Bands of A_qq, and of A_qu in the v rows, that T(sigma) is built from.
 
-        Raises SolveFailureError unless the rows of u read u' = v and the
-        rows of v and w are tridiagonal in q and in u.
+        Shared by ``_factor_t``, ``ShiftedSolve`` and the Crank-Nicolson stepper.
+        Raises SolveFailureError unless the rows of u hold n_u nonzeros, all
+        ones at (i, n_u + i), and the rows of v and w are tridiagonal in q and u.
         """
-        self.check_displacement_rows()
         A, nu = self.A, self.n_u
+        if not (np.all(A.diagonal(nu)[:nu] == 1.0)
+                and np.count_nonzero(A.data[: A.indptr[nu]]) == nu):
+            raise SolveFailureError("generator rows of u do not read u' = v")
         q_sub, q_main, q_sup = (A.diagonal(k)[nu:] for k in (-1, 0, 1))
         p_sub, p_main, p_sup = (A.diagonal(-nu - 1)[: nu - 1], A.diagonal(-nu)[:nu],
                                 A.diagonal(1 - nu)[1:nu])

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import daxpy, dcopy, dgbmv, dscal
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -98,9 +97,10 @@ class CrankNicolsonStepper:
         M (I - a A_qq - a^2 A_qu A_uq) m_q = M z_q + a M A_qu z_u
 
     in the velocity/temperature block q, with M the q-block diagonal of
-    W_E.  It is factored once (LAPACK pttrf); the coupling a M A_qu is
-    zero in the w rows and tridiagonal in the v rows, and is kept in
-    LAPACK band storage for one gbmv product per step.
+    W_E.  The bracket is a T(1/a) D^-1 in ``ShiftedSolve``'s notation and
+    is built from the same bands of A.  The system is factored once (LAPACK
+    pttrf); the coupling a M A_qu is zero in the w rows and tridiagonal in
+    the v rows, and is kept in LAPACK band storage for one gbmv product per step.
     """
 
     def __init__(self, disc: DiscreteGenerator, dt: float):
@@ -108,29 +108,24 @@ class CrankNicolsonStepper:
         self.dt = dt
         self._a = a = 0.5 * dt
         nu = self._n_u = disc.n_u
-        n_q = disc.dim - nu
-        disc.check_displacement_rows()
-        A = disc.A
-        a_uq, a_qu, a_qq = A[:nu, nu:], A[nu:, :nu], A[nu:, nu:]
+        q_sub, q_main, q_sup, p_sub, p_main, p_sup = disc._t_bands
+        main, sub, sup = 1.0 - a * q_main, -(a * q_sub), -(a * q_sup)
+        main[:nu] -= (a * a) * p_main
+        sub[: nu - 1] -= (a * a) * p_sub
+        sup[: nu - 1] -= (a * a) * p_sup
         self._mass = mass = disc.W_E.diagonal()[nu:]
-        schur = sp.diags(mass) @ (sp.identity(n_q) - a * a_qq - a * a * (a_qu @ a_uq))
-        coo = schur.tocoo()
-        upper, lower = schur.diagonal(1), schur.diagonal(-1)
-        if (np.any(np.abs(coo.row - coo.col)[coo.data != 0] > 1)
-                or not np.allclose(upper, lower, rtol=1e-12, atol=0.0)):
-            raise SolveFailureError("Schur complement is not symmetric tridiagonal")
-        self._d, self._e, info = dpttrf(schur.diagonal(), 0.5 * (upper + lower))
+        upper, lower = mass[:-1] * sup, mass[1:] * sub
+        if not np.allclose(upper, lower, rtol=1e-12, atol=0.0):
+            raise SolveFailureError("Schur complement is not symmetric")
+        self._d, self._e, info = dpttrf(mass * main, 0.5 * (upper + lower))
         if info != 0:
             raise SolveFailureError(
                 f"Schur complement is not positive definite (pttrf info {info})")
-        coupling = (sp.diags(a * mass) @ a_qu).tocoo()
-        keep = coupling.data != 0
-        rows, cols = coupling.row[keep], coupling.col[keep]
-        if np.any(rows >= nu) or np.any(np.abs(rows - cols) > 1):
-            raise SolveFailureError("coupling a M A_qu is not tridiagonal in the v rows")
         # LAPACK band storage with kl = ku = 1: entry (i, j) sits at [1 + i - j, j]
         self._coupling = np.zeros((3, nu), order="F")  # gbmv reads it uncopied
-        self._coupling[1 + rows - cols, cols] = coupling.data[keep]
+        self._coupling[0, 1:] = a * mass[: nu - 1] * p_sup
+        self._coupling[1] = a * mass[:nu] * p_main
+        self._coupling[2, :-1] = a * mass[1:nu] * p_sub
 
     def advance(self, z: np.ndarray, mid: np.ndarray) -> None:
         """One step in place: z becomes z+ and mid the midpoint (z + z+)/2.
@@ -359,10 +354,8 @@ def last_clean_decade(series: EnergySeries) -> tuple[float, float]:
 
 
 def decade_slopes(series: EnergySeries) -> list[tuple[float, float]]:
-    """Fitted slopes over successive factor-10 windows ending at the floor."""
-    floor = ENERGY_FLOOR_RATIO * series.energies[0]
-    above = series.times[series.energies > floor]
-    t_hi = float(above[-1])
+    """Slopes over successive factor-10 windows ending where ``last_clean_decade``'s does."""
+    t_hi = last_clean_decade(series)[1]
     out = []
     while t_hi / 10.0 >= max(series.times[1], series.times[-1] * 1e-4):
         t_lo = t_hi / 10.0

@@ -1,11 +1,32 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import waveheat.characteristic
 from waveheat import checks
-from waveheat.cli import main
+from waveheat.cli import _apply_config_file, build_parser, main
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+# every resolvent flag but --config, each drawn or left out
+_resolvent_flags = st.fixed_dictionaries({}, optional={
+    "variant": st.sampled_from(["neumann", "dirichlet"]),
+    "out": st.sampled_from(["out", "runs/a", "b"]),
+    "seed": st.integers(-5, 10**6),
+    "s_min": _finite,
+    "s_max": _finite,
+    "s_points": st.integers(-3, 500),
+    "trials": st.integers(-3, 50),
+    "resolution_factor": _finite,
+    "double_check": st.booleans(),
+})
+
+
+def _file_value(value):
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def read_csv(path):
@@ -60,6 +81,32 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--nmax", "-1", "--out", str(tmp_path)])
         assert code == 1
         assert "nmax" in capsys.readouterr().err
+
+    def test_dirichlet_nmax_zero_exits_one(self, tmp_path, capsys):
+        # Dirichlet has no branch 0, so --nmax 0 leaves no seed
+        code = main(["spectrum", "--variant", "dirichlet", "--nmax", "0",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1 and "nmax" in err
+        assert "Traceback" not in err
+
+    def test_every_polish_failing_exits_two(self, tmp_path, capsys, monkeypatch):
+        from waveheat import spectrum
+        from waveheat.errors import NoConvergenceError
+
+        def fail(seed, variant):
+            raise NoConvergenceError("injected")
+
+        monkeypatch.setattr(spectrum, "polish", fail)
+        code = main(["spectrum", "--nmax", "0", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert read_csv(tmp_path / "eigenvalues.csv") == [
+            ["n", "re", "im", "residual", "iters", "contained", "variant"]]
+        assert not (tmp_path / "eigenvalues.svg").exists()
 
     def test_unwritable_out_dir_exits_one(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -174,6 +221,38 @@ class TestConfigFile:
         # nmax from the command line (2), variant from the file (dirichlet)
         assert len(rows) - 1 == 4
         assert rows[1][6] == "dirichlet"
+
+    @pytest.mark.parametrize("value, expected", [("true", True), ("false", False)])
+    def test_file_sets_boolean_flag(self, tmp_path, value, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"double_check={value}\n")
+        argv = _apply_config_file(["waveheat", "resolvent", "--config", str(cfg)])
+        assert build_parser().parse_args(argv[1:]).double_check is expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(file_flags=_resolvent_flags, cli_flags=_resolvent_flags)
+    def test_explicit_flags_win(self, file_flags, cli_flags):
+        defaults = vars(build_parser().parse_args(["resolvent"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("".join(f"{key}={_file_value(value)}\n"
+                                   for key, value in file_flags.items()))
+            argv = ["waveheat", "resolvent", "--config", str(cfg)]
+            for key, value in cli_flags.items():
+                flag = f"--{key.replace('_', '-')}"
+                if value is True:
+                    argv.append(flag)
+                elif value is not False:  # store_true has no spelling for False
+                    argv.append(f"{flag}={value}")
+            args = build_parser().parse_args(_apply_config_file(argv)[1:])
+        for key, default in defaults.items():
+            if key == "config":
+                continue
+            if key in cli_flags and cli_flags[key] is not False:
+                expected = cli_flags[key]
+            else:
+                expected = file_flags.get(key, default)
+            assert getattr(args, key) == expected, key
 
     def test_missing_config_exits_one(self, tmp_path):
         code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -130,7 +131,7 @@ class TestStepper:
         else:
             # an A_qu entry c at (row, col) and -a c in A_qq at the v column
             # col: the Schur entry a (-a c) + a^2 c is exactly 0 (a = dt/2 =
-            # 2^-9), so only the coupling check can see the change
+            # 2^-9), so only the shared band count of _t_bands can see the change
             nu = disc.n_u
             row, col = (2 * nu, 0) if breakage == "w_row_coupling" else (nu + 3, 5)
             A[row, col] = 1.0
@@ -259,6 +260,68 @@ class TestRun:
             assert err <= 1e-10
 
 
+def _constraint_matrix(variant, k, degree):
+    """Rows of the linear domain conditions on (u, v, w) coefficient vectors.
+
+    u and v are polynomials in (xi + 1) and w in (1 - xi), ``degree + 1``
+    coefficients each, as ``make_domain_data``'s ``custom`` profile reads them.
+    Each row is one condition ``functional(field) - functional(other) = 0``.
+    """
+    P = np.polynomial.Polynomial
+    tau = [P([1.0, 1.0]) ** j for j in range(degree + 1)]
+    sigma = [P([1.0, -1.0]) ** j for j in range(degree + 1)]
+    basis = {"u": tau, "v": tau, "w": sigma}
+    offset = {"u": 0, "v": degree + 1, "w": 2 * (degree + 1)}
+
+    def row(*terms):  # terms: (sign, field, derivative order, point)
+        out = np.zeros(3 * (degree + 1))
+        for sign, name, m, x in terms:
+            for j, b in enumerate(basis[name]):
+                out[offset[name] + j] += sign * b.deriv(m)(x)
+        return out
+
+    def equal(a, b):
+        return row((1.0, *a), (-1.0, *b))
+
+    rows = [row((1.0, "w", 0, 1.0)), equal(("v", 0, 0.0), ("w", 0, 0.0)),
+            equal(("u", 1, 0.0), ("w", 1, 0.0))]
+    if variant is NEU:
+        # u(-1) = 0 too: it leaves out only the kernel direction, which
+        # project_kernel removes anyway
+        rows += [row((1.0, "u", 1, -1.0)), row((1.0, "u", 0, -1.0))]
+    else:
+        rows += [row((1.0, "u", 0, -1.0)), row((1.0, "v", 0, -1.0))]
+    if k == 2:  # the image (v, u'', w'') satisfies the same conditions
+        rows += [row((1.0, "w", 2, 1.0)), equal(("u", 2, 0.0), ("w", 2, 0.0)),
+                 equal(("v", 1, 0.0), ("w", 3, 0.0))]
+        rows.append(row((1.0, "v", 1, -1.0)) if variant is NEU
+                    else row((1.0, "u", 2, -1.0)))
+    return np.array(rows)
+
+
+class TestCustomData:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), variant=st.sampled_from([NEU, DIR]), k=st.sampled_from([1, 2]),
+           degree=st.integers(3, 6))
+    def test_energy_monotone_and_balanced(self, data, variant, k, degree):
+        null = scipy.linalg.null_space(_constraint_matrix(variant, k, degree))
+        drawn = data.draw(arrays(float, 3 * (degree + 1), elements=st.floats(-1.0, 1.0)))
+        coeffs = null @ (null.T @ drawn)
+        norm = np.linalg.norm(coeffs)
+        assume(norm > 1e-3)
+        u, v, w = np.split(coeffs / norm, 3)
+        grid = GridSpec(32, 32)
+        x0 = make_domain_data("custom", grid, variant, k=k,
+                              custom={"u": u, "v": v, "w": w}).state
+        if variant is NEU:
+            x0, _ = project_kernel(x0)
+        series = run(x0, config(variant=variant, t_max=10.0, grid=grid))
+        assert checks.energy_monotone(series).passed
+        assert checks.energy_balance(series).passed
+        if variant is NEU:
+            assert checks.phi_constant_along_flow(series).passed
+
+
 def step_n(state, cfg, n):
     out = state
     for _ in range(n):
@@ -346,6 +409,14 @@ class TestDecayFit:
         series = EnergySeries(times=t, energies=e, dissipation=np.zeros_like(t))
         slopes = [s for _, s in decade_slopes(series)]
         assert all(b <= a + 1e-9 for a, b in zip(slopes[:-1], slopes[1:]))
+
+    @pytest.mark.parametrize("fit", [decade_slopes, last_clean_decade])
+    def test_history_at_the_floor_raises_window_error(self, fit):
+        t = np.linspace(0.0, 100.0, 401)
+        series = EnergySeries(times=t, energies=np.zeros_like(t),
+                              dissipation=np.zeros_like(t))
+        with pytest.raises(WindowError, match="round-off floor"):
+            fit(series)
 
 
 class TestCsv:
