@@ -37,7 +37,6 @@ __all__ = [
     "DiscreteGenerator",
     "DomainDatum",
     "ShiftedSolve",
-    "arpack_start",
     "assemble",
     "make_domain_data",
 ]
@@ -64,32 +63,6 @@ class GridSpec:
 
     def doubled(self) -> "GridSpec":
         return GridSpec(2 * self.n_wave, 2 * self.n_heat)
-
-
-def _wave_stiffness(n: int, h: float) -> sp.csr_matrix:
-    # natural (Neumann) stiffness on n+1 nodes; Dirichlet variants slice row/col 0
-    main = np.full(n + 1, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    off = np.full(n, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _heat_stiffness(n: int, h: float) -> sp.csr_matrix:
-    # nodes 0..n-1 (node n carries the Dirichlet end and is eliminated)
-    main = np.full(n, 2.0 / h)
-    main[0] = 1.0 / h
-    off = np.full(n - 1, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def arpack_start(dim: int) -> np.ndarray:
-    """Fixed ARPACK start vector, a function of the dimension only.
-
-    ARPACK otherwise starts from a random vector, which moves converged
-    eigenvalues in the last digits from one call to the next.
-    """
-    rng = np.random.default_rng(dim)
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def _trapz_weights(n: int, h: float) -> np.ndarray:
@@ -272,20 +245,27 @@ class DiscreteGenerator:
         log scales are subtracted before exponentiating, so nothing
         overflows.  It stops when the step is at most NEWTON_STEP_TOL
         max(|sigma|, 1), or at an iterate where gttrf meets a zero pivot.
-        A seed that is singular by ``ShiftedSolve``'s pivot rule (0 for the
-        Neumann kernel) raises SolveFailureError; NEWTON_MAX_ITERS steps
-        without convergence raise NoConvergenceError.
+        When a step below sqrt(eps) max(|sigma|, 1) is followed by one no
+        smaller, the values are round-off at the determinant's floor and
+        the iterate of least |det| is returned.  A seed that is singular by
+        ``ShiftedSolve``'s pivot rule (0 for the Neumann kernel) raises
+        SolveFailureError; NEWTON_MAX_ITERS steps without convergence raise
+        NoConvergenceError.
         """
         return np.array([self._secant_root(complex(seed)) for seed in seeds], dtype=complex)
 
     def _secant_root(self, seed: complex) -> complex:
+        sqrt_eps = math.sqrt(np.finfo(float).eps)
         prev, f_prev = seed, self._det_t(seed, guard=True)
         # a relative sqrt(eps) offset: the first step is a forward-difference Newton step
-        cur = seed + math.sqrt(np.finfo(float).eps) * max(abs(seed), 1.0)
+        cur = seed + sqrt_eps * max(abs(seed), 1.0)
+        best, best_log, last_step = seed, f_prev.log_scale, math.inf
         for _ in range(NEWTON_MAX_ITERS):
             f_cur = self._det_t(cur)
             if f_cur.mantissa == 0:
                 return cur
+            if f_cur.log_scale < best_log:  # the mantissa has modulus 1
+                best, best_log = cur, f_cur.log_scale
             # f_prev / f_cur, its exponent clipped: beyond it the step is below any tolerance
             ratio = (f_prev.mantissa / f_cur.mantissa) * math.exp(
                 min(f_prev.log_scale - f_cur.log_scale, 700.0))
@@ -293,8 +273,14 @@ class DiscreteGenerator:
                 break
             step = (cur - prev) / (1.0 - ratio)
             prev, f_prev, cur = cur, f_cur, cur - step
-            if abs(step) <= NEWTON_STEP_TOL * max(abs(cur), 1.0):
+            scale = max(abs(cur), 1.0)
+            if abs(step) <= NEWTON_STEP_TOL * scale:
                 return cur
+            # past sqrt(eps) a secant step shrinks superlinearly unless the values
+            # are round-off in det: the iterates wander at its floor, a stall
+            if abs(step) >= last_step and last_step <= sqrt_eps * scale:
+                return best
+            last_step = abs(step)
         raise NoConvergenceError(f"secant iteration on det(sigma I - A_h) from {seed} "
                                  f"did not converge within {NEWTON_MAX_ITERS} steps")
 
@@ -399,59 +385,80 @@ class ShiftedSolve:
         return out.ravel()
 
 
-def _build_parts(grid: GridSpec, variant: BoundaryVariant):
-    n_w, n_h = grid.n_wave, grid.n_heat
-    hw, hh = grid.h_wave, grid.h_heat
-    neumann = variant is BoundaryVariant.NEUMANN
+def _csr_from_diagonals(rows: np.ndarray, offsets) -> sp.csr_matrix:
+    """Canonical CSR of the square matrix with rows[i, k] at (i, i + offsets[k]).
 
-    K_w = _wave_stiffness(n_w, hw)
-    mass_w = _trapz_weights(n_w, hw)
-    if not neumann:
-        K_w = K_w[1:, 1:]
-        mass_w = mass_w[1:]
-    nu = K_w.shape[0]
+    The offsets increase, so the nonzero values in row-major order are each
+    row's entries in column order, and no sort is needed; zeros are not stored.
+    """
+    dim, width = rows.shape
+    flat = np.flatnonzero(rows != 0)
+    row = flat // width
+    cols = row + np.asarray(offsets)[flat - row * width]
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
+    return sp.csr_matrix((rows.ravel()[flat], cols.astype(np.int32), indptr),
+                         shape=(dim, dim))
 
-    K_h = _heat_stiffness(n_h, hh)
-    mass_h_nodes = _trapz_weights(n_h, hh)[:-1]  # dofs 0..n_h-1, dof 0 = interface
 
-    n_q = nu + n_h - 1
-    mass_q = np.concatenate([mass_w, np.full(n_h - 1, hh)])
-    mass_q[nu - 1] += mass_h_nodes[0]
-
-    # selector embedding heat dofs (0 -> interface v-slot, k -> w_k) into q
-    heat_idx = np.concatenate([[nu - 1], np.arange(nu, n_q)])
-    S_h = sp.csr_matrix(
-        (np.ones(n_h), (np.arange(n_h), heat_idx)), shape=(n_h, n_q)
-    )
-    return K_w, mass_w, K_h, S_h, mass_q, nu, n_q
+def _stiffness_rows(main: np.ndarray, h: float) -> np.ndarray:
+    """(sub, main, sup) per row of a lumped stiffness with off-diagonals -1/h."""
+    rows = np.zeros((len(main), 3))
+    rows[1:, 0] = rows[:-1, 2] = -1.0 / h
+    rows[:, 1] = main
+    return rows
 
 
 def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
-    """Assemble the discrete generator and its Gram matrices."""
-    K_w, mass_w, K_h, S_h, mass_q, nu, n_q = _build_parts(grid, variant)
-    inv_mass = sp.diags(1.0 / mass_q)
+    """Assemble the discrete generator and its Gram matrices from their bands.
 
-    K_h_embedded = (S_h.T @ K_h @ S_h).tocsr()
-    sel_v = sp.hstack([sp.identity(nu), sp.csr_matrix((nu, n_q - nu))]).tocsr()
+    K_w is the lumped piecewise-linear wave stiffness, natural at both ends
+    (Dirichlet drops the node at xi = -1), K_h the heat stiffness on dofs
+    0..n_h-1 (dof 0 is the interface, node n_h is eliminated), and
+    M = diag(mass_q) the lumped mass of q = (v, w), whose interface slot
+    n_u - 1 holds both half cells.  K_h sits in q as one tridiagonal block
+    from that slot on:
 
-    A = sp.bmat(
-        [
-            [None, sel_v],
-            [-inv_mass @ sel_v.T @ K_w, -inv_mass @ K_h_embedded],
-        ],
-        format="csr",
-    )
+        A = [[0, (I, 0)], [-M^-1 (K_w; 0), -M^-1 K_h]],   W_diss = diag(0, K_h),
+        W = diag(K_w + diag(mass_w), M),   W_E = diag(K_w, M).
 
-    W_E = sp.block_diag([K_w, sp.diags(mass_q)], format="csr")
-    W = sp.block_diag([K_w + sp.diags(mass_w), sp.diags(mass_q)], format="csr")
-    W_diss = sp.bmat(
-        [[sp.csr_matrix((nu, nu)), None], [None, K_h_embedded]], format="csr"
-    )
+    Every stored entry is one product of a band value with -1/mass_q, or
+    one band value, or K_w's diagonal plus mass_w.
+    """
+    n_w, n_h = grid.n_wave, grid.n_heat
+    hw, hh = grid.h_wave, grid.h_heat
+    kw_main = np.full(n_w + 1, 2.0 / hw)
+    kw_main[0] = kw_main[-1] = 1.0 / hw
+    mass_w = _trapz_weights(n_w, hw)
+    if variant is not BoundaryVariant.NEUMANN:
+        kw_main, mass_w = kw_main[1:], mass_w[1:]
+    nu = len(kw_main)
+    kh_main = np.full(n_h, 2.0 / hh)
+    kh_main[0] = 1.0 / hh
+    K_w, K_h = _stiffness_rows(kw_main, hw), _stiffness_rows(kh_main, hh)
 
-    return DiscreteGenerator(
-        A=A, W=W.tocsr(), W_E=W_E.tocsr(), W_diss=W_diss.tocsr(),
-        grid=grid, variant=variant,
-    )
+    mass_q = np.concatenate([mass_w, np.full(n_h - 1, hh)])
+    mass_q[nu - 1] += hh / 2.0
+    neg_inv = -(1.0 / mass_q)
+    dim = 2 * nu + n_h - 1
+    iface = 2 * nu - 1  # the row and column of q's interface slot
+
+    a_rows = np.zeros((dim, 7))
+    a_rows[:nu, 6] = 1.0
+    a_rows[nu : 2 * nu, :3] = neg_inv[:nu, None] * K_w
+    a_rows[iface:, 3:6] = neg_inv[nu - 1 :, None] * K_h
+    A = _csr_from_diagonals(a_rows, (-nu - 1, -nu, 1 - nu, -1, 0, 1, nu))
+
+    gram = np.zeros((dim, 3))
+    gram[:nu] = K_w
+    gram[nu:, 1] = mass_q
+    W_E = _csr_from_diagonals(gram, (-1, 0, 1))
+    gram[:nu, 1] += mass_w
+    W = _csr_from_diagonals(gram, (-1, 0, 1))
+    diss = np.zeros((dim, 3))
+    diss[iface:] = K_h
+    W_diss = _csr_from_diagonals(diss, (-1, 0, 1))
+    return DiscreteGenerator(A=A, W=W, W_E=W_E, W_diss=W_diss, grid=grid, variant=variant)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from waveheat import checks
 from waveheat.characteristic import BoundaryVariant
@@ -129,6 +129,65 @@ class TestAssembly:
         state = make_domain_data("smooth_bump", GridSpec(64, 64), other).state
         with pytest.raises(ValueError, match="generator"):
             assemble(GridSpec(64, 64), variant).pack_state(state)
+
+
+def _block_assembly(grid, variant) -> dict:
+    """A, W, W_E and W_diss by scipy.sparse block algebra, an independent reference.
+
+    K_h is embedded into q by a selector matrix, and A's q rows are -M^-1
+    times the stiffness blocks, as sparse products.
+    """
+    def stiffness(main, h):
+        off = np.full(len(main) - 1, -1.0 / h)
+        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+    def lumped(n, h):
+        w = np.full(n + 1, h)
+        w[0] = w[-1] = h / 2.0
+        return w
+
+    n_w, n_h, hw, hh = grid.n_wave, grid.n_heat, grid.h_wave, grid.h_heat
+    kw_main = np.full(n_w + 1, 2.0 / hw)
+    kw_main[0] = kw_main[-1] = 1.0 / hw
+    K_w, mass_w = stiffness(kw_main, hw), lumped(n_w, hw)
+    if variant is DIR:
+        K_w, mass_w = K_w[1:, 1:], mass_w[1:]
+    nu = K_w.shape[0]
+    kh_main = np.full(n_h, 2.0 / hh)
+    kh_main[0] = 1.0 / hh
+    K_h = stiffness(kh_main, hh)
+    n_q = nu + n_h - 1
+    mass_q = np.concatenate([mass_w, np.full(n_h - 1, hh)])
+    mass_q[nu - 1] += lumped(n_h, hh)[0]
+    heat_idx = np.concatenate([[nu - 1], np.arange(nu, n_q)])
+    S_h = sp.csr_matrix((np.ones(n_h), (np.arange(n_h), heat_idx)), shape=(n_h, n_q))
+    inv_mass = sp.diags(1.0 / mass_q)
+    K_h_q = (S_h.T @ K_h @ S_h).tocsr()
+    sel_v = sp.hstack([sp.identity(nu), sp.csr_matrix((nu, n_q - nu))]).tocsr()
+    return {
+        "A": sp.bmat([[None, sel_v], [-inv_mass @ sel_v.T @ K_w, -inv_mass @ K_h_q]],
+                     format="csr"),
+        "W": sp.block_diag([K_w + sp.diags(mass_w), sp.diags(mass_q)], format="csr"),
+        "W_E": sp.block_diag([K_w, sp.diags(mass_q)], format="csr"),
+        "W_diss": sp.bmat([[sp.csr_matrix((nu, nu)), None], [None, K_h_q]], format="csr"),
+    }
+
+
+class TestBandAssembly:
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from([NEU, DIR]), n_wave=st.integers(8, 300),
+           n_heat=st.integers(8, 300))
+    @example(variant=NEU, n_wave=8, n_heat=8)
+    @example(variant=DIR, n_wave=300, n_heat=8)
+    def test_matches_block_algebra_bitwise(self, variant, n_wave, n_heat):
+        gen = assemble(GridSpec(n_wave, n_heat), variant)
+        for name, ref in _block_assembly(gen.grid, variant).items():
+            got = getattr(gen, name)
+            assert got.shape == ref.shape == (gen.dim, gen.dim)
+            assert got.has_sorted_indices and np.all(got.data != 0), name
+            assert np.array_equal(got.indptr, ref.indptr), name
+            assert np.array_equal(got.indices, ref.indices), name
+            assert got.data.tobytes() == ref.data.tobytes(), name
 
 
 def _backward_error(B, x, y) -> float:
