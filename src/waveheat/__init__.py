@@ -34,7 +34,6 @@ from .simulator import (
     kernel_functional,
     project_kernel,
     run,
-    step,
 )
 from .spectrum import (
     EigenvalueRecord,

@@ -123,8 +123,9 @@ def det_two_path(y: state.DataTriple, frequencies) -> Check:
 
 def resolvent_coupling(s: float, y: state.DataTriple) -> Check:
     """Boundary and interface residuals of the closed-form resolvent, relative to |y|."""
-    co, wave, heat = resolvent._interface_solve(s, y)
-    x = resolvent._resolvent_state(s, y, co, wave, heat)
+    fs = resolvent._FrequencySetup(s, y.n_wave, y.n_heat)
+    co, wave, heat = resolvent._interface_solve(fs, y)
+    x = resolvent._resolvent_state(fs, y, co, wave, heat)
     z = characteristic.principal_sqrt(1j * s)
     w_prime0 = z * co.b * np.cosh(z) + heat[1][0]
     bc = float(max(abs(x.u_prime[0]), abs(x.w[-1]), abs(x.v[-1] - x.w[0]),

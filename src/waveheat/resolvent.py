@@ -12,7 +12,9 @@ exponentially growing kernels, and (a, b) solve a 2x2 system whose
 determinant is  (is)^(3/2) cos(s) cosh(sqrt(is)) - s sin(s) sinh(sqrt(is)),
 an imaginary-axis evaluation of the Neumann characteristic determinant.
 The quotients of exponentially large terms in (a, b) are computed as
-mantissa ratios with log-scale subtraction.
+mantissa ratios with log-scale subtraction.  Everything the data do not
+enter (kernel quadrature, exponentials, the determinant and the
+homogeneous profiles) is set up once per frequency and grid.
 
 These formulas hold for the Neumann variant.  The discrete norm estimator
 works for either variant through the assembled generator.
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from numpy.polynomial.polynomial import polyval
 
 from .characteristic import (
     BoundaryVariant,
@@ -72,36 +75,105 @@ def _sqrt_is(s: float) -> complex:
     return z
 
 
-def _kernel_integrals(
-    kappa: complex, x: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+class _KernelIntegrals:
     """Causal sinh and cosh kernel integrals of piecewise-linear data.
 
-    Returns (S, C) at every node x_j of the increasing grid x, with
+    Called with node data d, returns (S, C) at every node x_j of the
+    increasing grid x, with
         S(x_j) = int_{x_0}^{x_j} sinh(kappa (x_j - r)) d(r) dr
         C(x_j) = int_{x_0}^{x_j} cosh(kappa (x_j - r)) d(r) dr
     and d linear on each cell.  Every cell is split into the same number
     of equal panels, none wider than a fifth of 2 pi/|kappa| or 1/4, with
     6-point Gauss-Legendre on each; the node values are prefix sums of the
     per-cell moments.  Each exponential is split into two factors of
-    modulus at most exp(|Re kappa| (x_n - x_0)).
+    modulus at most exp(|Re kappa| (x_n - x_0)).  The quadrature and the
+    exponentials depend on (kappa, x) only and are built once.
     """
-    dx = np.diff(x)
-    width = min(2.0 * math.pi / (5.0 * max(abs(kappa), 1.0)), 0.25)
-    m = max(1, math.ceil(dx.max() / width))
-    # quadrature points of a cell as fractions of its width, panel by panel
-    frac = ((np.arange(m)[:, None] + 0.5 * (1.0 + _GL_NODES)) / m).ravel()
-    pts = x[:-1, None] + dx[:, None] * frac
-    wd = (dx[:, None] * np.tile(_GL_WEIGHTS / (2 * m), m)) * (
-        d[:-1, None] + (d[1:] - d[:-1])[:, None] * frac
-    )
 
-    def prefix(moments):
-        return np.concatenate([[0.0], np.cumsum(moments.sum(axis=1))])
+    def __init__(self, kappa: complex, x: np.ndarray):
+        dx = np.diff(x)
+        width = min(2.0 * math.pi / (5.0 * max(abs(kappa), 1.0)), 0.25)
+        m = max(1, math.ceil(dx.max() / width))
+        # quadrature points of a cell as fractions of its width, panel by panel
+        self._frac = frac = ((np.arange(m)[:, None] + 0.5 * (1.0 + _GL_NODES)) / m).ravel()
+        pts = x[:-1, None] + dx[:, None] * frac
+        self._weights = dx[:, None] * np.tile(_GL_WEIGHTS / (2 * m), m)
+        # (node factor, point factor) of the growing and the decaying exponential
+        self._grow = np.exp(kappa * (x - x[0])), np.exp(-kappa * (pts - x[0]))
+        self._decay = np.exp(kappa * (x[-1] - x)), np.exp(kappa * (pts - x[-1]))
 
-    grow = np.exp(kappa * (x - x[0])) * prefix(np.exp(-kappa * (pts - x[0])) * wd)
-    decay = np.exp(kappa * (x[-1] - x)) * prefix(np.exp(kappa * (pts - x[-1])) * wd)
-    return 0.5 * (grow - decay), 0.5 * (grow + decay)
+    def __call__(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        wd = self._weights * (d[:-1, None] + (d[1:] - d[:-1])[:, None] * self._frac)
+
+        def prefix(moments):
+            return np.concatenate([[0.0], np.cumsum(moments.sum(axis=1))])
+
+        (grow_x, grow_pts), (decay_x, decay_pts) = self._grow, self._decay
+        grow = grow_x * prefix(grow_pts * wd)
+        decay = decay_x * prefix(decay_pts * wd)
+        return 0.5 * (grow - decay), 0.5 * (grow + decay)
+
+
+class _FrequencySetup:
+    """The part of the closed-form resolvent at frequency s that no data enter.
+
+    Built from (s, n_wave, n_heat): the node grids, the string kernel
+    (kappa = is) and the reflected rod kernel (kappa = sqrt(is)), the
+    scaled interface determinant with its hat functions, the homogeneous
+    profiles cos/sin(s (xi+1)) and sinh(sqrt(is) (1-xi)), and the carriers
+    of ``random_smooth_triple``.  Every entry point builds one per call;
+    ``resolvent_norm_sampled`` builds one per frequency for all its trials.
+    """
+
+    def __init__(self, s: float, n_wave: int, n_heat: int):
+        if s == 0:
+            raise DegenerateInputError("frequency s must be nonzero")
+        self.s = s
+        # the guard precedes the kernels, whose panel count grows with |s|
+        self.z = z = _sqrt_is(s)
+        self.xw, self.xh = xw, xh = wave_nodes(n_wave), heat_nodes(n_heat)
+        self.wave = _KernelIntegrals(1j * s, xw)
+        self.heat = _KernelIntegrals(z, 1.0 - xh[::-1])
+        self.cosh_hat, self.sinh_hat = cosh_hat, sinh_hat = _cosh_sinh_hat(z)
+        det = char_fn_scaled(complex(0.0, s), BoundaryVariant.NEUMANN).times(1j * s)
+        if det.abs_log() < math.log(1e-300):
+            raise SingularSystemError(f"scaled determinant underflow at s = {s}")
+        self.det = det
+        r_real = z.real  # = |Re z|, the scale the hat functions divide out
+        self.M = np.array(
+            [
+                [1j * s * math.cos(s), sinh_hat * math.exp(r_real)],
+                [s * math.sin(s), z * cosh_hat * math.exp(r_real)],
+            ],
+            dtype=complex,
+        )
+        phase = s * (xw + 1.0)
+        self.cos, self.sin = np.cos(phase), np.sin(phase)
+        self.sinh = np.sinh(z * (1.0 - xh))
+        osc, layer = np.exp(1j * s * xw), np.exp(-z * xh)
+        self.osc, self.layer = (osc.real, osc.imag), (layer.real, layer.imag)
+
+    def particular_wave(self, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
+        s = self.s
+        sinh_int, cosh_int = self.wave(1j * s * y.f + y.g)
+        return sinh_int / (1j * s), cosh_int
+
+    def particular_heat(self, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
+        sinh_int, cosh_int = self.heat(y.h[::-1])
+        return (-sinh_int / self.z)[::-1], cosh_int[::-1]
+
+    def random_triple(self, rng: np.random.Generator) -> DataTriple:
+        """``random_smooth_triple`` on this frequency and grid."""
+
+        def rpoly(n, x):
+            return polyval(x, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+        xw, (osc_re, osc_im) = self.xw, self.osc
+        xh, (layer_re, layer_im) = self.xh, self.layer
+        f = rpoly(4, xw) + rpoly(3, xw) * osc_re + rpoly(3, xw) * osc_im
+        g = rpoly(4, xw) + rpoly(3, xw) * osc_re + rpoly(3, xw) * osc_im
+        h = rpoly(4, xh) + rpoly(3, xh) * layer_re + rpoly(3, xh) * layer_im
+        return DataTriple(f=f, g=g, h=h)
 
 
 def particular_wave(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -111,11 +183,9 @@ def particular_wave(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
         U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
         U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
     for the piecewise-linear data: the kernel integrals with kappa = is.
+    The frequency must be one that ``apply_resolvent`` accepts.
     """
-    if s == 0:
-        raise DegenerateInputError("frequency s must be nonzero")
-    sinh_int, cosh_int = _kernel_integrals(1j * s, y.xi_wave, 1j * s * y.f + y.g)
-    return sinh_int / (1j * s), cosh_int
+    return _FrequencySetup(s, y.n_wave, y.n_heat).particular_wave(y)
 
 
 def particular_heat(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -128,11 +198,7 @@ def particular_heat(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
     1 - xi.  The kernels are representable up to Re sqrt(is) ~ 600; beyond
     that the call is rejected.
     """
-    if s == 0:
-        raise DegenerateInputError("frequency s must be nonzero")
-    z = _sqrt_is(s)
-    sinh_int, cosh_int = _kernel_integrals(z, 1.0 - y.xi_heat[::-1], y.h[::-1])
-    return (-sinh_int / z)[::-1], cosh_int[::-1]
+    return _FrequencySetup(s, y.n_wave, y.n_heat).particular_heat(y)
 
 
 @dataclass
@@ -157,37 +223,25 @@ def _check_frequency(s: float) -> None:
         )
 
 
-def _interface_solve(s: float, y: DataTriple):
-    """Node particular integrals and the interface system at frequency s.
+def _interface_solve(fs: _FrequencySetup, y: DataTriple):
+    """Node particular integrals and the interface system for data y.
 
     Returns (coefficients, (U, U'), (W, W')); the profiles are computed
     once and shared by ``solve_coefficients`` and ``apply_resolvent``.
     """
-    wave, heat = particular_wave(s, y), particular_heat(s, y)
+    s, z, det = fs.s, fs.z, fs.det
+    wave, heat = fs.particular_wave(y), fs.particular_heat(y)
     (u_vals, u_ders), (w_vals, w_ders) = wave, heat
     p = complex(y.f[-1]) + 1j * s * u_vals[-1] + w_vals[0]
     q = -u_ders[-1] - w_ders[0]
-    z = _sqrt_is(s)
-    r_real = z.real  # = |Re z|, the scale the hat functions divide out
-    cosh_hat, sinh_hat = _cosh_sinh_hat(z)
-    det = char_fn_scaled(complex(0.0, s), BoundaryVariant.NEUMANN).times(1j * s)
-    if det.abs_log() < math.log(1e-300):
-        raise SingularSystemError(f"scaled determinant underflow at s = {s}")
-    a = ((z * cosh_hat * p - sinh_hat * q) / det.mantissa) * math.exp(
-        r_real - det.log_scale
+    a = ((z * fs.cosh_hat * p - fs.sinh_hat * q) / det.mantissa) * math.exp(
+        z.real - det.log_scale
     )
     b = ((-s * math.sin(s) * p + 1j * s * math.cos(s) * q) / det.mantissa) * math.exp(
         -det.log_scale
     )
-    M = np.array(
-        [
-            [1j * s * math.cos(s), sinh_hat * math.exp(r_real)],
-            [s * math.sin(s), z * cosh_hat * math.exp(r_real)],
-        ],
-        dtype=complex,
-    )
     co = ResolventCoefficients(
-        s=s, M=M, detM=det, a=a, b=b, rhs=np.array([p, q], dtype=complex)
+        s=s, M=fs.M, detM=det, a=a, b=b, rhs=np.array([p, q], dtype=complex)
     )
     return co, wave, heat
 
@@ -195,7 +249,7 @@ def _interface_solve(s: float, y: DataTriple):
 def solve_coefficients(s: float, y: DataTriple) -> ResolventCoefficients:
     """Boundary data, interface matrix and the constants (a, b) at frequency s."""
     _check_frequency(s)
-    return _interface_solve(s, y)[0]
+    return _interface_solve(_FrequencySetup(s, y.n_wave, y.n_heat), y)[0]
 
 
 def apply_resolvent(s: float, y: DataTriple) -> StateVector:
@@ -206,19 +260,19 @@ def apply_resolvent(s: float, y: DataTriple) -> StateVector:
     closed form.
     """
     _check_frequency(s)
-    return _resolvent_state(s, y, *_interface_solve(s, y))
+    fs = _FrequencySetup(s, y.n_wave, y.n_heat)
+    return _resolvent_state(fs, y, *_interface_solve(fs, y))
 
 
-def _resolvent_state(s: float, y: DataTriple, co: ResolventCoefficients,
+def _resolvent_state(fs: _FrequencySetup, y: DataTriple, co: ResolventCoefficients,
                      wave, heat) -> StateVector:
     """The resolvent state from ``_interface_solve``'s constants and profiles."""
     (u_part, u_der_part), (w_part, _) = wave, heat
-    xw, xh = y.xi_wave, y.xi_heat
-    z = _sqrt_is(s)
-    u = co.a * np.cos(s * (xw + 1.0)) - u_part
-    u_prime = -s * co.a * np.sin(s * (xw + 1.0)) - u_der_part
+    s = fs.s
+    u = co.a * fs.cos - u_part
+    u_prime = -s * co.a * fs.sin - u_der_part
     v = 1j * s * u - y.f
-    w = -co.b * np.sinh(z * (1.0 - xh)) + w_part
+    w = -co.b * fs.sinh + w_part
     return StateVector(
         u=u, v=v, w=w, variant=BoundaryVariant.NEUMANN, u_prime=u_prime
     )
@@ -307,22 +361,10 @@ def random_smooth_triple(
 
     Low-order polynomials plus oscillation at rate s on the wave segment and
     an interface boundary layer on the heat segment, so that randomized
-    norm sampling can excite the resonant response.
+    norm sampling can excite the resonant response.  The frequency must be
+    one that ``apply_resolvent`` accepts.
     """
-    xw, xh = wave_nodes(grid.n_wave), heat_nodes(grid.n_heat)
-
-    def rpoly(n):
-        return np.polynomial.Polynomial(
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-
-    osc = np.exp(1j * s * xw)
-    f = rpoly(4)(xw) + rpoly(3)(xw) * osc.real + rpoly(3)(xw) * osc.imag
-    g = rpoly(4)(xw) + rpoly(3)(xw) * osc.real + rpoly(3)(xw) * osc.imag
-    z = _sqrt_is(s)
-    layer = np.exp(-z * xh)
-    h = rpoly(4)(xh) + rpoly(3)(xh) * layer.real + rpoly(3)(xh) * layer.imag
-    return DataTriple(f=f, g=g, h=h)
+    return _FrequencySetup(s, grid.n_wave, grid.n_heat).random_triple(rng)
 
 
 def resolvent_norm_sampled(
@@ -334,16 +376,20 @@ def resolvent_norm_sampled(
     """Randomized lower bound on the resolvent norm via the closed form.
 
     Maximizes ||x||_X / ||y||_X over random smooth data; an independent
-    code path from the matrix-based estimate.
+    code path from the matrix-based estimate.  The frequency set-up is
+    built once and applied to every trial, which is ``apply_resolvent``
+    on each ``random_smooth_triple`` draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    _check_frequency(s)
+    fs = _FrequencySetup(s, grid.n_wave, grid.n_heat)
     best = 0.0
     for _ in range(trials):
-        y = random_smooth_triple(s, grid, rng)
-        x = apply_resolvent(s, y)
+        y = fs.random_triple(rng)
+        x = _resolvent_state(fs, y, *_interface_solve(fs, y))
         best = max(best, x.norm_X / y.norm_X)
     return best
 

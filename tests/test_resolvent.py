@@ -9,11 +9,17 @@ from scipy.integrate import quad
 from waveheat import checks
 from waveheat.characteristic import BoundaryVariant, principal_sqrt
 from waveheat.discretization import GridSpec, ShiftedSolve, assemble
-from waveheat.errors import DegenerateInputError, NoConvergenceError, ResolutionError
+from waveheat.errors import (
+    DegenerateInputError,
+    NoConvergenceError,
+    OverflowEvaluationError,
+    ResolutionError,
+)
 from waveheat.resolvent import (
     apply_resolvent,
     particular_heat,
     particular_wave,
+    random_smooth_triple,
     required_grid,
     resolvent_norm_discrete,
     resolvent_norm_sampled,
@@ -369,6 +375,26 @@ class TestNorms:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             resolvent_norm_sampled(10.0, 0, GridSpec(32, 32))
+
+    # required_grid(100) has one panel per cell on both segments; on 16 cells
+    # the string kernel needs 5 panels per cell
+    @pytest.mark.parametrize("grid", [required_grid(100.0), GridSpec(16, 16)])
+    def test_sampled_is_apply_resolvent_on_the_same_draws(self, grid):
+        s, trials, seed = 100.0, 7, 11
+        rng = np.random.default_rng(seed)
+        ratios = []
+        for _ in range(trials):
+            y = random_smooth_triple(s, grid, rng)
+            ratios.append(apply_resolvent(s, y).norm_X / y.norm_X)
+        assert resolvent_norm_sampled(s, trials, grid, seed) == max(ratios)
+
+    @pytest.mark.parametrize("s, error", [
+        (0.0, DegenerateInputError),
+        (1e6, OverflowEvaluationError),  # Re sqrt(is) = 707
+    ])
+    def test_sampled_rejects_frequency(self, s, error):
+        with pytest.raises(error):
+            resolvent_norm_sampled(s, 3, GridSpec(32, 32), 0)
 
     def test_grid_refinement_stability(self):
         grid = required_grid(30.0, factor=2.5)

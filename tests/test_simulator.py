@@ -15,6 +15,7 @@ from waveheat.discretization import GridSpec, ShiftedSolve, assemble, make_domai
 from waveheat.errors import SolveFailureError, VariantError, WindowError
 from waveheat.simulator import (
     CrankNicolsonStepper,
+    _HeatDissipation,
     _local_slopes,
     EnergySeries,
     SimulationConfig,
@@ -25,7 +26,6 @@ from waveheat.simulator import (
     phi_weights,
     project_kernel,
     run,
-    step,
     write_energy_csv,
 )
 from waveheat.state import StateVector, wave_nodes
@@ -142,6 +142,39 @@ class TestStepper:
         if breakage != "asymmetric":  # the shifted solve needs no symmetry
             with pytest.raises(SolveFailureError):
                 ShiftedSolve(broken, 3.0 + 20j)
+
+
+class TestHeatDissipation:
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("rows", [1, 23, 64])
+    def test_matches_form_on_full_block(self, variant, dtype, rows):
+        disc = assemble(GridSpec(48, 40), variant)
+        rng = np.random.default_rng(rows)
+        mids = rng.standard_normal((rows, disc.dim)).astype(dtype)
+        if dtype is complex:
+            mids += 1j * rng.standard_normal((rows, disc.dim))
+        dt = 0.01
+        got = _HeatDissipation(disc, 64, dtype)(mids, mids[-1].copy(), dt)
+        block = mids.T.copy()
+        ref = dt * float(np.real(np.vdot(block, disc.W_diss @ block)))
+        # the same products, summed in another order
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_non_finite_u_rows_raise(self, variant):
+        disc = assemble(GRID, variant)
+        mids, z = np.zeros((8, disc.dim)), np.zeros(disc.dim)
+        z[disc.n_u // 2] = np.nan  # outside the heat slice
+        with pytest.raises(SolveFailureError):
+            _HeatDissipation(disc, 8, float)(mids, z, 0.01)
+
+    def test_rejects_form_outside_the_heat_slice(self):
+        disc = assemble(GRID, NEU)
+        W = disc.W_diss.tolil()
+        W[disc.dim - 1, 0] = 1.0
+        with pytest.raises(SolveFailureError):
+            _HeatDissipation(dataclasses.replace(disc, W_diss=W.tocsr()), 8, float)
 
 
 class TestFaultInjection:
@@ -323,10 +356,18 @@ class TestCustomData:
 
 
 def step_n(state, cfg, n):
-    out = state
+    """n Crank-Nicolson steps of a real state by ``CrankNicolsonStepper.advance``."""
+    disc = assemble(cfg.grid, cfg.variant)
+    stepper = CrankNicolsonStepper(disc, cfg.dt)
+    z = disc.pack_state(state).astype(float)
+    mid = np.empty_like(z)
     for _ in range(n):
-        out = step(out, cfg)
-    return out
+        stepper.advance(z, mid)
+    return disc.unpack(z)
+
+
+def step(state, cfg):
+    return step_n(state, cfg, 1)
 
 
 class TestKernelProjection:
