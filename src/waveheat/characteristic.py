@@ -81,7 +81,11 @@ def principal_sqrt(value: complex | np.ndarray):
     sqrt(i*s) are always taken on the same branch.  Takes a point or an
     array of points.
     """
-    z = _upper_side(value)
+    return _sqrt_upper(_upper_side(value))
+
+
+def _sqrt_upper(z):
+    """Principal square root of a point or array already put on the upper side."""
     return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
@@ -95,7 +99,7 @@ class ComplexFrequency:
     @classmethod
     def of(cls, value: complex | np.ndarray) -> "ComplexFrequency":
         v = _upper_side(value)
-        return cls(value=v, sqrt_value=principal_sqrt(v))
+        return cls(value=v, sqrt_value=_sqrt_upper(v))
 
     @property
     def on_cut(self):
@@ -198,6 +202,41 @@ def _hat_terms(freq: ComplexFrequency, variant: BoundaryVariant):
     return r, p, q, *_cosh_sinh_hat(r), abs(z.real) + abs(r.real)
 
 
+def _det(terms) -> ScaledValue:
+    """D = r p cosh(r) + q sinh(r) from the factors of ``_hat_terms``."""
+    r, p, q, cr, sr, scale = terms
+    return _normalize(r * p * cr + q * sr, scale)
+
+
+def _deriv(terms) -> ScaledValue:
+    """D' = (p + q) cosh(r)/(2r) + r q cosh(r) + (3/2) p sinh(r) from ``_hat_terms``."""
+    r, p, q, cr, sr, scale = terms
+    return _normalize((p + q) * cr / (2.0 * r) + r * q * cr + 1.5 * p * sr, scale)
+
+
+def _deriv_domain(lam: complex | np.ndarray | ComplexFrequency) -> ComplexFrequency:
+    """``lam`` as a frequency, or DegenerateInputError where D' is undefined."""
+    freq = _as_frequency(lam)
+    if _any(freq.value == 0):
+        raise DegenerateInputError("derivative undefined at lam = 0")
+    if _any(freq.on_cut):
+        raise DegenerateInputError("derivative undefined on the branch cut")
+    return freq
+
+
+def _char_fn_pair(
+    lam: complex | np.ndarray | ComplexFrequency, variant: BoundaryVariant
+) -> tuple[ScaledValue, ScaledValue]:
+    """The scaled determinant and its derivative from one set of factors.
+
+    Bitwise equal to ``char_fn_scaled`` and ``char_fn_deriv_scaled`` at the
+    same points, at the cost of one evaluation; rejects the same points as
+    ``char_fn_deriv_scaled``.
+    """
+    terms = _hat_terms(_deriv_domain(lam), variant)
+    return _det(terms), _deriv(terms)
+
+
 def char_fn_scaled(
     lam: complex | np.ndarray | ComplexFrequency, variant: BoundaryVariant
 ) -> ScaledValue:
@@ -207,8 +246,7 @@ def char_fn_scaled(
     on the finite plane; |mantissa| lies in [1e-2, 1e2] unless the value is
     exactly zero.  ``lam`` is a point or an array of points.
     """
-    r, p, q, cr, sr, scale = _hat_terms(_as_frequency(lam), variant)
-    return _normalize(r * p * cr + q * sr, scale)
+    return _det(_hat_terms(_as_frequency(lam), variant))
 
 
 def char_fn(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> complex:
@@ -241,13 +279,7 @@ def char_fn_deriv_scaled(
     in the notation of ``_hat_terms``.  Undefined at lam = 0 and on the
     branch cut; an array containing such a point is rejected as a whole.
     """
-    freq = _as_frequency(lam)
-    if _any(freq.value == 0):
-        raise DegenerateInputError("derivative undefined at lam = 0")
-    if _any(freq.on_cut):
-        raise DegenerateInputError("derivative undefined on the branch cut")
-    r, p, q, cr, sr, scale = _hat_terms(freq, variant)
-    return _normalize((p + q) * cr / (2.0 * r) + r * q * cr + 1.5 * p * sr, scale)
+    return _deriv(_hat_terms(_deriv_domain(lam), variant))
 
 
 def char_fn_deriv(
@@ -257,15 +289,25 @@ def char_fn_deriv(
     return char_fn_deriv_scaled(lam, variant).value()
 
 
-def newton_ratio(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> complex:
-    """D(lam)/D'(lam) with the common exponential scale cancelled."""
-    num = char_fn_scaled(lam, variant)
-    den = char_fn_deriv_scaled(lam, variant)
+def _newton_step(num: ScaledValue, den: ScaledValue) -> complex:
+    """num/den for the scaled D and D' of one point, scales cancelled."""
     if den.mantissa == 0:
         raise DegenerateInputError("derivative vanished; Newton step undefined")
     if num.mantissa == 0:
         return 0j
     return (num.mantissa / den.mantissa) * math.exp(num.log_scale - den.log_scale)
+
+
+def newton_ratio(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> complex:
+    """D(lam)/D'(lam) with the common exponential scale cancelled."""
+    return _newton_step(*_char_fn_pair(lam, variant))
+
+
+def _residual(freq: ComplexFrequency, value: ScaledValue) -> float:
+    """|D| of the scaled determinant ``value`` at ``freq``, against its natural scale."""
+    if value.mantissa == 0:
+        return 0.0
+    return math.exp(value.abs_log() - natural_log_scale(freq))
 
 
 def relative_residual(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> float:
@@ -275,10 +317,7 @@ def relative_residual(lam: complex | ComplexFrequency, variant: BoundaryVariant)
     converged roots regardless of |lam|.
     """
     freq = _as_frequency(lam)
-    sv = char_fn_scaled(freq, variant)
-    if sv.mantissa == 0:
-        return 0.0
-    return math.exp(sv.abs_log() - natural_log_scale(freq))
+    return _residual(freq, char_fn_scaled(freq, variant))
 
 
 _F_POLE_PERIOD = math.pi  # poles of coth at n*pi*i

@@ -110,16 +110,6 @@ class DiscreteGenerator:
             parts = [x.u[1:], x.v[1:], x.w[1:-1]]
         return np.concatenate(parts)
 
-    def pack_data(self, f: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Stack right-hand-side data; the interface row mass-averages g(0), h(0)."""
-        hw, hh = self.grid.h_wave, self.grid.h_heat
-        g_iface = (0.5 * hw * g[-1] + 0.5 * hh * h[0]) / (0.5 * hw + 0.5 * hh)
-        if self.variant is BoundaryVariant.NEUMANN:
-            gg = np.concatenate([g[:-1], [g_iface]])
-            return np.concatenate([f, gg, h[1:-1]])
-        gg = np.concatenate([g[1:-1], [g_iface]])
-        return np.concatenate([f[1:], gg, h[1:-1]])
-
     def unpack(self, z: np.ndarray) -> StateVector:
         nu = self.n_u
         n_w, n_h = self.grid.n_wave, self.grid.n_heat

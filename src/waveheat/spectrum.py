@@ -18,8 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristic import (
+# char_fn_deriv_scaled, newton_ratio and relative_residual are not called
+# here; they stay importable from this module for code that looks them up
+# through it
+from .characteristic import (  # noqa: F401
     BoundaryVariant,
+    ComplexFrequency,
+    _char_fn_pair,
+    _newton_step,
+    _residual,
     char_fn_deriv_scaled,
     char_fn_scaled,
     newton_ratio,
@@ -94,20 +101,32 @@ def seeds(variant: BoundaryVariant, n_max: int) -> list[EigenvalueSeed]:
     return out
 
 
-def _newton(start: complex, variant: BoundaryVariant) -> tuple[complex, int] | None:
+def _newton(start: complex, variant: BoundaryVariant) -> tuple[complex, int, float] | None:
+    """Newton iteration from ``start``: (root, iterations, relative residual), or None.
+
+    D and D' are evaluated together once per iterate: the iterate's residual
+    and the step from it come from that one evaluation.
+    """
     lam = start
-    for it in range(1, NEWTON_MAX_ITERS + 1):
+    for it in range(NEWTON_MAX_ITERS + 1):
+        freq = ComplexFrequency.of(lam)
         try:
-            step = newton_ratio(lam, variant)
+            num, den = _char_fn_pair(freq, variant)
+        except DegenerateInputError:  # lam = 0 or on the cut: no step from here
+            num, den = char_fn_scaled(freq, variant), None
+        if it > 0:
+            residual = _residual(freq, num)
+            if residual <= NEWTON_RESIDUAL_TOL:
+                return lam, it, residual
+            if abs(step) <= NEWTON_STEP_TOL * max(abs(lam), 1.0):
+                return (lam, it, residual) if residual <= 1e-10 else None
+        if den is None:
+            return None
+        try:
+            step = _newton_step(num, den)
         except DegenerateInputError:
             return None
         lam = lam - step
-        if relative_residual(lam, variant) <= NEWTON_RESIDUAL_TOL:
-            return lam, it
-        if abs(step) <= NEWTON_STEP_TOL * max(abs(lam), 1.0):
-            if relative_residual(lam, variant) <= 1e-10:
-                return lam, it
-            return None
     return None
 
 
@@ -122,11 +141,11 @@ def polish(seed: EigenvalueSeed, variant: BoundaryVariant) -> EigenvalueRecord:
         raise NoConvergenceError(
             f"Newton did not converge from seed n={seed.n} ({variant.value})"
         )
-    lam, iters = result
+    lam, iters, residual = result
     return EigenvalueRecord(
         n=seed.n,
         lam=lam,
-        residual=relative_residual(lam, variant),
+        residual=residual,
         iters=iters,
         contained=abs(lam - seed.center) < seed.radius,
         variant=variant,
@@ -150,29 +169,34 @@ def count_zeros_contour(
 
     Trapezoidal quadrature of D'/D around the contour, with the node count
     doubled until the rounded winding number is stable across two successive
-    refinement levels.  Each level is evaluated as one array of nodes.
+    refinement levels.  Each level keeps the nodes of the one before and
+    evaluates, as one array, only those it adds, the odd indices of its own
+    node set; the quadrature sum and the distance bound carry over.
     """
+    if n_start < 1:
+        raise ValueError(f"n_start must be >= 1, got {n_start}")
     if _cut_intersects_circle(center, radius):
         raise CutIntersectionError(
             f"circle |lam - {center}| = {radius} touches the branch cut"
         )
     prev_int: int | None = None
-    n = n_start
+    total, min_dist = 0j, math.inf
+    n, k = n_start, np.arange(n_start)
     while n <= CONTOUR_NODE_CAP:
-        lam = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
-        num = char_fn_scaled(lam, variant)
-        den = char_fn_deriv_scaled(lam, variant)
+        lam = center + radius * np.exp(2j * math.pi * k / n)
+        num, den = _char_fn_pair(lam, variant)
         on_zero = num.mantissa == 0
         if on_zero.any():
             raise ContourTooCloseError(f"zero on the contour at {lam[on_zero][0]}")
         ratio = (den.mantissa / num.mantissa) * np.exp(den.log_scale - num.log_scale)
         # |D/D'| approximates the distance to the nearest zero
-        min_dist = float(np.min(1.0 / np.maximum(np.abs(ratio), 1e-300)))
+        min_dist = min(min_dist, float(np.min(1.0 / np.maximum(np.abs(ratio), 1e-300))))
         if min_dist < 1e-6:
             raise ContourTooCloseError(
                 f"zero within {min_dist:.2e} of the contour (tolerance 1e-6)"
             )
-        winding = complex(np.sum(ratio * (lam - center))) / n
+        total += complex(np.sum(ratio * (lam - center)))
+        winding = total / n
         if abs(winding.imag) < 0.25 and abs(winding.real - round(winding.real)) < 0.25:
             cur = round(winding.real)
             if prev_int is not None and cur == prev_int:
@@ -181,6 +205,7 @@ def count_zeros_contour(
         else:
             prev_int = None
         n *= 2
+        k = np.arange(1, n, 2)
     raise NoConvergenceError(
         f"winding number failed to stabilize below {CONTOUR_NODE_CAP} contour nodes"
     )

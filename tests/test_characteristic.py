@@ -10,6 +10,7 @@ from waveheat import checks
 from waveheat.characteristic import (
     BoundaryVariant,
     ComplexFrequency,
+    _char_fn_pair,
     _hat_terms,
     char_fn,
     char_fn_deriv,
@@ -32,6 +33,11 @@ NEU = BoundaryVariant.NEUMANN
 DIR = BoundaryVariant.DIRICHLET
 
 
+def _bits(*values) -> bytes:
+    """The IEEE bytes of points or arrays, so that -0.0 and 0.0 differ."""
+    return b"".join(np.asarray(v).tobytes() for v in values)
+
+
 class TestBranch:
     def test_sqrt_squares_back(self, rng):
         for _ in range(200):
@@ -45,6 +51,16 @@ class TestBranch:
         for x in (-1.0, -4.0, -100.0):
             assert principal_sqrt(x).imag > 0
             assert principal_sqrt(complex(x, -0.0)).imag > 0
+
+    @given(points=st.lists(
+        st.one_of(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                  st.builds(complex, st.floats(-1e3, 0.0), st.sampled_from([0.0, -0.0]))),
+        min_size=1, max_size=8))
+    def test_frequency_root_is_principal_sqrt(self, points):
+        assert all(_bits(ComplexFrequency.of(p).sqrt_value) == _bits(principal_sqrt(p))
+                   for p in points)
+        arr = np.array(points)
+        assert _bits(ComplexFrequency.of(arr).sqrt_value) == _bits(principal_sqrt(arr))
 
     def test_conj_symmetry_off_cut(self, rng):
         for _ in range(100):
@@ -181,6 +197,20 @@ class TestArrayEvaluation:
                 char_fn_deriv_scaled(np.array(points), variant)
         if regular:
             _assert_pointwise(char_fn_deriv_scaled, variant, regular)
+
+
+class TestJointEvaluation:
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @given(points=_points)
+    def test_bitwise_equal_to_separate_evaluators(self, variant, points):
+        regular = [p for p in points if p != 0 and not (p.imag == 0 and p.real < 0)]
+        for lam in [*regular, np.array(regular)] if regular else []:
+            det, deriv = _char_fn_pair(lam, variant)
+            assert _bits(*det) == _bits(*char_fn_scaled(lam, variant))
+            assert _bits(*deriv) == _bits(*char_fn_deriv_scaled(lam, variant))
+        if len(regular) < len(points):
+            with pytest.raises(DegenerateInputError):
+                _char_fn_pair(np.array(points), variant)
 
 
 class TestDerivative:

@@ -49,6 +49,17 @@ def heat_data(h):
     return DataTriple(f=np.zeros(17), g=np.zeros(17), h=h)
 
 
+def _pack_data(gen, f, g, h) -> np.ndarray:
+    """Right-hand-side data in generator coordinates; the interface row mass-averages g(0), h(0)."""
+    hw, hh = gen.grid.h_wave, gen.grid.h_heat
+    g_iface = (0.5 * hw * g[-1] + 0.5 * hh * h[0]) / (0.5 * hw + 0.5 * hh)
+    if gen.variant is BoundaryVariant.NEUMANN:
+        gg = np.concatenate([g[:-1], [g_iface]])
+        return np.concatenate([f, gg, h[1:-1]])
+    gg = np.concatenate([g[1:-1], [g_iface]])
+    return np.concatenate([f[1:], gg, h[1:-1]])
+
+
 def _dense_norm(disc, s) -> float:
     """||(is - A_h)^-1|| in the W-norm: 1/sigma_min(L^T B L^-T), W = L L^T, B = is - A_h."""
     B = 1j * s * np.eye(disc.dim) - disc.A.toarray()
@@ -239,7 +250,7 @@ class TestApplyResolvent:
             x = apply_resolvent(s, y)
             gen = assemble(GridSpec(n, n), NEU)
             zx = gen.pack_state(x)
-            rhs = gen.pack_data(y.f, y.g, y.h)
+            rhs = _pack_data(gen, y.f, y.g, y.h)
             B = (1j * s * sp.identity(gen.dim, format="csc") - gen.A).tocsc()
             res_errs.append(gen.norm(B @ zx - rhs))
             sol_errs.append(gen.norm(spla.spsolve(B, rhs.astype(complex)) - zx))

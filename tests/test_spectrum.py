@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from waveheat import checks
+from waveheat import checks, spectrum
 from waveheat.characteristic import BoundaryVariant
 from waveheat.errors import (
     ContourTooCloseError,
@@ -80,6 +81,28 @@ class TestPolish:
         rec = polish(seeds(DIR, 1)[-1], DIR)
         assert rec.variant is DIR and rec.iters >= 1
 
+    @pytest.mark.parametrize("variant,n,re,im,iters,residual", [
+        (NEU, -3, "-0x1.d565cf6c184c1p-3", "-0x1.040eabb95cea7p+3", 4, "0x1.560a7a9985b82p-51"),
+        (NEU, 0, "-0x1.01a4ef41f5851p-1", "0x1.1a4742afa1af5p+1", 7, "0x1.7ffffffffffe8p-53"),
+        (NEU, 1, "-0x1.2ef7f0bad7f37p-2", "0x1.459869a532097p+2", 5, "0x1.6f26b4b7673a5p-52"),
+        (NEU, 12, "-0x1.c90ed6b68b362p-4", "0x1.3b11cba4f7cd9p+5", 3, "0x1.7b79e9b61de18p-42"),
+        (NEU, 57, "-0x1.ae10c4cb739b7p-5", "0x1.69637958869f6p+7", 3, "0x1.8579642cccd0dp-46"),
+        (NEU, 200, "-0x1.cd57a0f2fb436p-6", "0x1.3af5712be8d6ep+9", 3, "0x1.32fced8fa94afp-41"),
+        (DIR, -3, "-0x1.b0faa6fa12e5fp-3", "-0x1.35625ee13d08fp+3", 4, "0x1.1e3779b97f4a9p-53"),
+        (DIR, 1, "-0x1.78a08d11968f4p-2", "0x1.ce4f1cdde420bp+1", 5, "0x1.04760c95db316p-52"),
+        (DIR, 2, "-0x1.0509cf6cd40b6p-2", "0x1.a63a5fccaa867p+2", 4, "0x1.04ac46ec9cc08p-45"),
+        (DIR, 12, "-0x1.d244e6a60ecc8p-4", "0x1.2e85ac57bfea9p+5", 3, "0x1.fe0efbd3b2fa0p-42"),
+        (DIR, 57, "-0x1.aff05d27d6507p-5", "0x1.663f58465facdp+7", 3, "0x1.960ddef9912a2p-50"),
+        (DIR, 200, "-0x1.cdeafd496ee66p-6", "0x1.3a2c6278fd2c4p+9", 3, "0x1.b852635755612p-43"),
+    ])
+    def test_frozen_records(self, variant, n, re, im, iters, residual):
+        # records of the Newton iteration that evaluated D and D' separately
+        # and D once more for each residual: one evaluation per iterate must
+        # reproduce them bit for bit
+        rec = polish({s.n: s for s in seeds(variant, abs(n))}[n], variant)
+        assert (rec.lam.real.hex(), rec.lam.imag.hex()) == (re, im)
+        assert rec.iters == iters and rec.residual.hex() == residual
+
 
 class TestContourCounts:
     @pytest.mark.parametrize("n", [5, 8, 13, 21, 50])
@@ -136,6 +159,44 @@ class TestContourCounts:
         root = NEUMANN_ROOTS[1]
         with pytest.raises(ContourTooCloseError):
             count_zeros_contour(root + 0.25, 0.25 - 1e-9, NEU)
+
+    @pytest.mark.parametrize("n_start", [0, -4])
+    def test_node_start_below_one_rejected(self, n_start, monkeypatch):
+        def no_evaluation(lam, variant):
+            raise AssertionError("evaluated before the argument check")
+
+        monkeypatch.setattr(spectrum, "_char_fn_pair", no_evaluation)
+        with pytest.raises(ValueError, match="n_start must be >= 1"):
+            count_zeros_contour(5j, 1.0, NEU, n_start=n_start)
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_every_disk_once_with_nested_nodes(self, variant, monkeypatch):
+        # each node of the final level is evaluated exactly once over all
+        # levels, and the nodes are those of the full level's expression
+        evaluated = []
+
+        def recording(lam, variant):
+            evaluated.append(lam)
+            return pair(lam, variant)
+
+        pair = spectrum._char_fn_pair
+        monkeypatch.setattr(spectrum, "_char_fn_pair", recording)
+        for s in seeds(variant, 200):
+            if abs(s.n) < 5:
+                continue
+            evaluated.clear()
+            assert count_zeros_contour(s.center, s.radius, variant) == 1
+            sizes = [len(lam) for lam in evaluated]
+            assert sizes == [256] + [256 * 2**j for j in range(len(sizes) - 1)]
+            nodes = evaluated[0]
+            for added in evaluated[1:]:
+                merged = np.empty(2 * len(nodes), complex)
+                merged[0::2], merged[1::2] = nodes, added
+                nodes = merged
+            n = len(nodes)
+            assert n == sum(sizes)
+            full = s.center + s.radius * np.exp(2j * math.pi * np.arange(n) / n)
+            assert nodes.tobytes() == full.tobytes()
 
 
 @pytest.fixture(scope="module")
