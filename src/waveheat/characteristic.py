@@ -289,25 +289,23 @@ def char_fn_deriv(
     return char_fn_deriv_scaled(lam, variant).value()
 
 
-def _newton_step(num: ScaledValue, den: ScaledValue) -> complex:
-    """num/den for the scaled D and D' of one point, scales cancelled."""
-    if den.mantissa == 0:
+def newton_ratio(
+    lam: complex | np.ndarray | ComplexFrequency, variant: BoundaryVariant
+) -> complex | np.ndarray:
+    """D(lam)/D'(lam) with the common exponential scale cancelled.
+
+    ``lam`` is a point or an array of points; D and D' share one evaluation.
+    Rejects the points ``char_fn_deriv_scaled`` rejects, and a point, or an
+    array holding a point, where D' vanishes.
+    """
+    num, den = _char_fn_pair(lam, variant)
+    if _any(den.mantissa == 0):
         raise DegenerateInputError("derivative vanished; Newton step undefined")
+    if isinstance(num.mantissa, np.ndarray):
+        return (num.mantissa / den.mantissa) * np.exp(num.log_scale - den.log_scale)
     if num.mantissa == 0:
         return 0j
     return (num.mantissa / den.mantissa) * math.exp(num.log_scale - den.log_scale)
-
-
-def newton_ratio(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> complex:
-    """D(lam)/D'(lam) with the common exponential scale cancelled."""
-    return _newton_step(*_char_fn_pair(lam, variant))
-
-
-def _residual(freq: ComplexFrequency, value: ScaledValue) -> float:
-    """|D| of the scaled determinant ``value`` at ``freq``, against its natural scale."""
-    if value.mantissa == 0:
-        return 0.0
-    return math.exp(value.abs_log() - natural_log_scale(freq))
 
 
 def relative_residual(lam: complex | ComplexFrequency, variant: BoundaryVariant) -> float:
@@ -317,7 +315,10 @@ def relative_residual(lam: complex | ComplexFrequency, variant: BoundaryVariant)
     converged roots regardless of |lam|.
     """
     freq = _as_frequency(lam)
-    return _residual(freq, char_fn_scaled(freq, variant))
+    sv = char_fn_scaled(freq, variant)
+    if sv.mantissa == 0:
+        return 0.0
+    return math.exp(sv.abs_log() - natural_log_scale(freq))
 
 
 _F_POLE_PERIOD = math.pi  # poles of coth at n*pi*i

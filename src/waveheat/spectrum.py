@@ -18,15 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-# char_fn_deriv_scaled, newton_ratio and relative_residual are not called
-# here; they stay importable from this module for code that looks them up
-# through it
+# char_fn_scaled and char_fn_deriv_scaled are not called here; they stay
+# importable from this module for code that looks them up through it
 from .characteristic import (  # noqa: F401
     BoundaryVariant,
-    ComplexFrequency,
-    _char_fn_pair,
-    _newton_step,
-    _residual,
     char_fn_deriv_scaled,
     char_fn_scaled,
     newton_ratio,
@@ -102,31 +97,19 @@ def seeds(variant: BoundaryVariant, n_max: int) -> list[EigenvalueSeed]:
 
 
 def _newton(start: complex, variant: BoundaryVariant) -> tuple[complex, int, float] | None:
-    """Newton iteration from ``start``: (root, iterations, relative residual), or None.
-
-    D and D' are evaluated together once per iterate: the iterate's residual
-    and the step from it come from that one evaluation.
-    """
+    """Newton iteration from ``start``: (root, iterations, relative residual), or None."""
     lam = start
-    for it in range(NEWTON_MAX_ITERS + 1):
-        freq = ComplexFrequency.of(lam)
+    for it in range(1, NEWTON_MAX_ITERS + 1):
         try:
-            num, den = _char_fn_pair(freq, variant)
-        except DegenerateInputError:  # lam = 0 or on the cut: no step from here
-            num, den = char_fn_scaled(freq, variant), None
-        if it > 0:
-            residual = _residual(freq, num)
-            if residual <= NEWTON_RESIDUAL_TOL:
-                return lam, it, residual
-            if abs(step) <= NEWTON_STEP_TOL * max(abs(lam), 1.0):
-                return (lam, it, residual) if residual <= 1e-10 else None
-        if den is None:
-            return None
-        try:
-            step = _newton_step(num, den)
+            step = newton_ratio(lam, variant)
         except DegenerateInputError:
             return None
         lam = lam - step
+        residual = relative_residual(lam, variant)
+        if residual <= NEWTON_RESIDUAL_TOL:
+            return lam, it, residual
+        if abs(step) <= NEWTON_STEP_TOL * max(abs(lam), 1.0):
+            return (lam, it, residual) if residual <= 1e-10 else None
     return None
 
 
@@ -167,11 +150,12 @@ def count_zeros_contour(
 ) -> int:
     """Argument-principle zero count of the determinant inside a circle.
 
-    Trapezoidal quadrature of D'/D around the contour, with the node count
-    doubled until the rounded winding number is stable across two successive
-    refinement levels.  Each level keeps the nodes of the one before and
-    evaluates, as one array, only those it adds, the odd indices of its own
-    node set; the quadrature sum and the distance bound carry over.
+    Trapezoidal quadrature of D'/D, the reciprocal of the Newton ratio,
+    around the contour, with the node count doubled until the rounded
+    winding number is stable across two successive refinement levels.  Each
+    level keeps the nodes of the one before and evaluates, as one array,
+    only those it adds, the odd indices of its own node set; the quadrature
+    sum carries over.
     """
     if n_start < 1:
         raise ValueError(f"n_start must be >= 1, got {n_start}")
@@ -180,22 +164,21 @@ def count_zeros_contour(
             f"circle |lam - {center}| = {radius} touches the branch cut"
         )
     prev_int: int | None = None
-    total, min_dist = 0j, math.inf
+    total = 0j
     n, k = n_start, np.arange(n_start)
     while n <= CONTOUR_NODE_CAP:
         lam = center + radius * np.exp(2j * math.pi * k / n)
-        num, den = _char_fn_pair(lam, variant)
-        on_zero = num.mantissa == 0
+        step = newton_ratio(lam, variant)
+        on_zero = step == 0
         if on_zero.any():
             raise ContourTooCloseError(f"zero on the contour at {lam[on_zero][0]}")
-        ratio = (den.mantissa / num.mantissa) * np.exp(den.log_scale - num.log_scale)
         # |D/D'| approximates the distance to the nearest zero
-        min_dist = min(min_dist, float(np.min(1.0 / np.maximum(np.abs(ratio), 1e-300))))
+        min_dist = float(np.min(np.abs(step)))
         if min_dist < 1e-6:
             raise ContourTooCloseError(
                 f"zero within {min_dist:.2e} of the contour (tolerance 1e-6)"
             )
-        total += complex(np.sum(ratio * (lam - center)))
+        total += complex(np.sum((lam - center) / step))
         winding = total / n
         if abs(winding.imag) < 0.25 and abs(winding.real - round(winding.real)) < 0.25:
             cur = round(winding.real)

@@ -18,6 +18,7 @@ from waveheat.characteristic import (
     char_fn_scaled,
     det_growth_ratio,
     fg_split,
+    newton_ratio,
     principal_sqrt,
 )
 from waveheat.errors import (
@@ -26,6 +27,7 @@ from waveheat.errors import (
     OverflowEvaluationError,
     PoleError,
 )
+from waveheat.spectrum import seeds
 
 from conftest import DN_AT_1, DN_AT_5_7J, COTH_1, TANH_1, mp_charfn
 
@@ -211,6 +213,24 @@ class TestJointEvaluation:
         if len(regular) < len(points):
             with pytest.raises(DegenerateInputError):
                 _char_fn_pair(np.array(points), variant)
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_newton_ratio_on_arrays(self, variant):
+        # contour nodes of seed disks, where D and D' are far from zero
+        for s in seeds(variant, 200):
+            if abs(s.n) < 5 or s.n % 13:
+                continue
+            lam = s.center + s.radius * np.exp(2j * math.pi * np.arange(64) / 64)
+            ratio = newton_ratio(lam, variant)
+            det, deriv = _char_fn_pair(lam, variant)
+            expected = (det.mantissa / deriv.mantissa) * np.exp(det.log_scale
+                                                                 - deriv.log_scale)
+            assert _bits(ratio) == _bits(expected)
+            points = np.array([newton_ratio(complex(p), variant) for p in lam])
+            assert np.all(np.abs(ratio - points) <= 1e-14 * np.abs(points))
+        for bad in (0j, -2.0 + 0j):
+            with pytest.raises(DegenerateInputError):
+                newton_ratio(np.array([1 + 5j, bad]), variant)
 
 
 class TestDerivative:

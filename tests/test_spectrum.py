@@ -165,7 +165,7 @@ class TestContourCounts:
         def no_evaluation(lam, variant):
             raise AssertionError("evaluated before the argument check")
 
-        monkeypatch.setattr(spectrum, "_char_fn_pair", no_evaluation)
+        monkeypatch.setattr(spectrum, "newton_ratio", no_evaluation)
         with pytest.raises(ValueError, match="n_start must be >= 1"):
             count_zeros_contour(5j, 1.0, NEU, n_start=n_start)
 
@@ -177,10 +177,10 @@ class TestContourCounts:
 
         def recording(lam, variant):
             evaluated.append(lam)
-            return pair(lam, variant)
+            return ratio(lam, variant)
 
-        pair = spectrum._char_fn_pair
-        monkeypatch.setattr(spectrum, "_char_fn_pair", recording)
+        ratio = spectrum.newton_ratio
+        monkeypatch.setattr(spectrum, "newton_ratio", recording)
         for s in seeds(variant, 200):
             if abs(s.n) < 5:
                 continue
