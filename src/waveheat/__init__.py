@@ -19,12 +19,10 @@ from .characteristic import (
 )
 from .discretization import DiscreteGenerator, GridSpec, assemble, make_domain_data
 from .resolvent import (
+    ClosedFormResolvent,
     apply_resolvent,
-    particular_heat,
-    particular_wave,
     resolvent_norm_discrete,
     resolvent_norm_sampled,
-    solve_coefficients,
 )
 from .simulator import (
     DecayFit,

@@ -115,19 +115,18 @@ def contour_counts(variant, counts: list[int]) -> Check:
 
 def det_two_path(y: state.DataTriple, frequencies) -> Check:
     """det M of the 2x2 interface matrix equals the scaled determinant."""
-    systems = (resolvent.solve_coefficients(s, y) for s in frequencies)
+    systems = (resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat) for s in frequencies)
     return _relative("det_two_path", 1e-10, (
-        _rel(co.detM.value(), co.M[0, 0] * co.M[1, 1] - co.M[0, 1] * co.M[1, 0])
-        for co in systems))
+        _rel(cf.det.value(), cf.M[0, 0] * cf.M[1, 1] - cf.M[0, 1] * cf.M[1, 0])
+        for cf in systems))
 
 
 def resolvent_coupling(s: float, y: state.DataTriple) -> Check:
     """Boundary and interface residuals of the closed-form resolvent, relative to |y|."""
-    fs = resolvent._FrequencySetup(s, y.n_wave, y.n_heat)
-    co, wave, heat = resolvent._interface_solve(fs, y)
-    x = resolvent._resolvent_state(fs, y, co, wave, heat)
+    sol = resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat).solve(y)
+    x = sol.state
     z = characteristic.principal_sqrt(1j * s)
-    w_prime0 = z * co.b * np.cosh(z) + heat[1][0]
+    w_prime0 = z * sol.b * np.cosh(z) + sol.heat[1][0]
     bc = float(max(abs(x.u_prime[0]), abs(x.w[-1]), abs(x.v[-1] - x.w[0]),
                    abs(x.u_prime[-1] - w_prime0)) / y.norm_X)
     return Check("resolvent_coupling", bc, 1e-8, bc < 1e-8, f"max residual {bc:.2e}")

@@ -14,7 +14,8 @@ an imaginary-axis evaluation of the Neumann characteristic determinant.
 The quotients of exponentially large terms in (a, b) are computed as
 mantissa ratios with log-scale subtraction.  Everything the data do not
 enter (kernel quadrature, exponentials, the determinant and the
-homogeneous profiles) is set up once per frequency and grid.
+homogeneous profiles) is set up once per frequency and grid, by the
+constructor of ``ClosedFormResolvent``.
 
 These formulas hold for the Neumann variant.  The discrete norm estimator
 works for either variant through the assembled generator.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -32,7 +33,6 @@ from numpy.polynomial.polynomial import polyval
 
 from .characteristic import (
     BoundaryVariant,
-    ScaledValue,
     _cosh_sinh_hat,
     char_fn_scaled,
     principal_sqrt,
@@ -48,31 +48,19 @@ from .errors import (
 from .state import DataTriple, StateVector, heat_nodes, wave_nodes
 
 __all__ = [
-    "ResolventCoefficients",
-    "particular_wave",
-    "particular_heat",
-    "solve_coefficients",
+    "ClosedFormResolvent",
+    "ResolventSolution",
     "apply_resolvent",
     "resolvent_norm_discrete",
     "resolvent_norm_sampled",
     "required_grid",
     "snap_to_resonance",
-    "random_smooth_triple",
     "sweep",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _MAX_SQRT_REAL = 600.0  # exp(Re sqrt(is)) guard for the unscaled heat kernels
 _DIRICHLET_BRANCH_0 = -0.7256 + 0.9716j  # continuous root of Dirichlet branch 0, to 4 digits
-
-
-def _sqrt_is(s: float) -> complex:
-    z = principal_sqrt(complex(0.0, s))
-    if z.real > _MAX_SQRT_REAL:
-        raise OverflowEvaluationError(
-            f"|s| = {abs(s):g} too large for the unscaled quadrature path"
-        )
-    return z
 
 
 class _KernelIntegrals:
@@ -114,27 +102,55 @@ class _KernelIntegrals:
         return 0.5 * (grow - decay), 0.5 * (grow + decay)
 
 
-class _FrequencySetup:
-    """The part of the closed-form resolvent at frequency s that no data enter.
+def _check_segment(segment: str, data: np.ndarray, nodes: np.ndarray) -> None:
+    if len(data) != len(nodes):
+        raise ValueError(f"{segment} data on {len(data) - 1} cells given to a resolvent "
+                         f"on {len(nodes) - 1}")
 
-    Built from (s, n_wave, n_heat): the node grids, the string kernel
-    (kappa = is) and the reflected rod kernel (kappa = sqrt(is)), the
-    scaled interface determinant with its hat functions, the homogeneous
-    profiles cos/sin(s (xi+1)) and sinh(sqrt(is) (1-xi)), and the carriers
-    of ``random_smooth_triple``.  Every entry point builds one per call;
-    ``resolvent_norm_sampled`` builds one per frequency for all its trials.
+
+class ResolventSolution(NamedTuple):
+    """``ClosedFormResolvent.solve``'s result for data y."""
+
+    state: StateVector
+    a: complex
+    b: complex
+    rhs: np.ndarray  # (p, q), the right-hand side of the interface system
+    wave: tuple[np.ndarray, np.ndarray]  # (U, U') at the wave nodes
+    heat: tuple[np.ndarray, np.ndarray]  # (W, W') at the heat nodes
+
+
+class ClosedFormResolvent:
+    """The closed-form resolvent (is - A)^(-1) at frequency s on one grid (Neumann variant).
+
+    The constructor holds every part that no data enter: the node grids,
+    the string kernel (kappa = is) and the reflected rod kernel
+    (kappa = sqrt(is)), the scaled interface determinant ``det`` and the
+    interface matrix ``M`` with det M = det, the homogeneous profiles
+    cos/sin(s (xi+1)) and sinh(sqrt(is) (1-xi)), and the carriers of
+    ``random_triple``.  It rejects s = 0, Re sqrt(is) > 600 (the unscaled
+    heat kernels) and an underflowing determinant, and warns for |s| < 2,
+    outside the calibrated frequency range.  The methods do the per-data work.
     """
 
     def __init__(self, s: float, n_wave: int, n_heat: int):
         if s == 0:
             raise DegenerateInputError("frequency s must be nonzero")
+        if abs(s) < 2.0:
+            warnings.warn(
+                f"|s| = {abs(s):g} < 2 is outside the calibrated frequency range",
+                stacklevel=2,
+            )
         self.s = s
         # the guard precedes the kernels, whose panel count grows with |s|
-        self.z = z = _sqrt_is(s)
-        self.xw, self.xh = xw, xh = wave_nodes(n_wave), heat_nodes(n_heat)
-        self.wave = _KernelIntegrals(1j * s, xw)
-        self.heat = _KernelIntegrals(z, 1.0 - xh[::-1])
-        self.cosh_hat, self.sinh_hat = cosh_hat, sinh_hat = _cosh_sinh_hat(z)
+        self.z = z = principal_sqrt(complex(0.0, s))
+        if z.real > _MAX_SQRT_REAL:
+            raise OverflowEvaluationError(
+                f"|s| = {abs(s):g} too large for the unscaled quadrature path"
+            )
+        self._xw, self._xh = xw, xh = wave_nodes(n_wave), heat_nodes(n_heat)
+        self._wave = _KernelIntegrals(1j * s, xw)
+        self._heat = _KernelIntegrals(z, 1.0 - xh[::-1])
+        self._cosh_hat, self._sinh_hat = cosh_hat, sinh_hat = _cosh_sinh_hat(z)
         det = char_fn_scaled(complex(0.0, s), BoundaryVariant.NEUMANN).times(1j * s)
         if det.abs_log() < math.log(1e-300):
             raise SingularSystemError(f"scaled determinant underflow at s = {s}")
@@ -148,134 +164,87 @@ class _FrequencySetup:
             dtype=complex,
         )
         phase = s * (xw + 1.0)
-        self.cos, self.sin = np.cos(phase), np.sin(phase)
-        self.sinh = np.sinh(z * (1.0 - xh))
+        self._cos, self._sin = np.cos(phase), np.sin(phase)
+        self._sinh = np.sinh(z * (1.0 - xh))
         osc, layer = np.exp(1j * s * xw), np.exp(-z * xh)
-        self.osc, self.layer = (osc.real, osc.imag), (layer.real, layer.imag)
+        self._osc, self._layer = (osc.real, osc.imag), (layer.real, layer.imag)
 
     def particular_wave(self, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
+        """Particular integral of the forced oscillator at every wave node.
+
+        Returns (U, U') with
+            U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
+            U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
+        for the piecewise-linear data: the kernel integrals with kappa = is.
+        """
+        _check_segment("wave", y.f, self._xw)
         s = self.s
-        sinh_int, cosh_int = self.wave(1j * s * y.f + y.g)
+        sinh_int, cosh_int = self._wave(1j * s * y.f + y.g)
         return sinh_int / (1j * s), cosh_int
 
     def particular_heat(self, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
-        sinh_int, cosh_int = self.heat(y.h[::-1])
+        """Particular integral of the forced diffusion operator at every heat node.
+
+        Returns (W, W') with
+            W(xi)  = -(1/sqrt(is)) int_xi^1 sinh(sqrt(is) (r - xi)) h(r) dr
+            W'(xi) = int_xi^1 cosh(sqrt(is) (r - xi)) h(r) dr
+        the kernel integrals with kappa = sqrt(is) in the reflected variable
+        1 - xi.
+        """
+        _check_segment("heat", y.h, self._xh)
+        sinh_int, cosh_int = self._heat(y.h[::-1])
         return (-sinh_int / self.z)[::-1], cosh_int[::-1]
 
     def random_triple(self, rng: np.random.Generator) -> DataTriple:
-        """``random_smooth_triple`` on this frequency and grid."""
+        """Random smooth data with content at the frequency scales of the problem.
+
+        Low-order polynomials plus oscillation at rate s on the wave segment
+        and an interface boundary layer on the heat segment, so that
+        randomized norm sampling can excite the resonant response.
+        """
 
         def rpoly(n, x):
             return polyval(x, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-        xw, (osc_re, osc_im) = self.xw, self.osc
-        xh, (layer_re, layer_im) = self.xh, self.layer
+        xw, (osc_re, osc_im) = self._xw, self._osc
+        xh, (layer_re, layer_im) = self._xh, self._layer
         f = rpoly(4, xw) + rpoly(3, xw) * osc_re + rpoly(3, xw) * osc_im
         g = rpoly(4, xw) + rpoly(3, xw) * osc_re + rpoly(3, xw) * osc_im
         h = rpoly(4, xh) + rpoly(3, xh) * layer_re + rpoly(3, xh) * layer_im
         return DataTriple(f=f, g=g, h=h)
 
+    def solve(self, y: DataTriple) -> ResolventSolution:
+        """x = (is - A)^(-1) y on the data grids, with its interface constants.
 
-def particular_wave(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Particular integral of the forced oscillator at every wave node.
-
-    Returns (U, U') with
-        U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
-        U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
-    for the piecewise-linear data: the kernel integrals with kappa = is.
-    The frequency must be one that ``apply_resolvent`` accepts.
-    """
-    return _FrequencySetup(s, y.n_wave, y.n_heat).particular_wave(y)
-
-
-def particular_heat(s: float, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Particular integral of the forced diffusion operator at every heat node.
-
-    Returns (W, W') with
-        W(xi)  = -(1/sqrt(is)) int_xi^1 sinh(sqrt(is) (r - xi)) h(r) dr
-        W'(xi) = int_xi^1 cosh(sqrt(is) (r - xi)) h(r) dr
-    the kernel integrals with kappa = sqrt(is) in the reflected variable
-    1 - xi.  The kernels are representable up to Re sqrt(is) ~ 600; beyond
-    that the call is rejected.
-    """
-    return _FrequencySetup(s, y.n_wave, y.n_heat).particular_heat(y)
-
-
-@dataclass
-class ResolventCoefficients:
-    """Interface system for the closed-form resolvent at frequency s."""
-
-    s: float
-    M: np.ndarray
-    detM: ScaledValue
-    a: complex
-    b: complex
-    rhs: np.ndarray
-
-
-def _check_frequency(s: float) -> None:
-    if s == 0:
-        raise DegenerateInputError("frequency s must be nonzero")
-    if abs(s) < 2.0:
-        warnings.warn(
-            f"|s| = {abs(s):g} < 2 is outside the calibrated frequency range",
-            stacklevel=3,
+        The interface system M (a, b) = (p, q) is solved by Cramer's rule,
+        its exponentially large terms as mantissa ratios with log-scale
+        subtraction.  The wave derivative is returned analytically
+        (u_prime), not by differencing, so the state norm uses the exact
+        H^1 seminorm of the closed form.
+        """
+        s, z, det = self.s, self.z, self.det
+        wave, heat = self.particular_wave(y), self.particular_heat(y)
+        (u_vals, u_ders), (w_vals, w_ders) = wave, heat
+        p = complex(y.f[-1]) + 1j * s * u_vals[-1] + w_vals[0]
+        q = -u_ders[-1] - w_ders[0]
+        a = ((z * self._cosh_hat * p - self._sinh_hat * q) / det.mantissa) * math.exp(
+            z.real - det.log_scale
         )
-
-
-def _interface_solve(fs: _FrequencySetup, y: DataTriple):
-    """Node particular integrals and the interface system for data y.
-
-    Returns (coefficients, (U, U'), (W, W')); the profiles are computed
-    once and shared by ``solve_coefficients`` and ``apply_resolvent``.
-    """
-    s, z, det = fs.s, fs.z, fs.det
-    wave, heat = fs.particular_wave(y), fs.particular_heat(y)
-    (u_vals, u_ders), (w_vals, w_ders) = wave, heat
-    p = complex(y.f[-1]) + 1j * s * u_vals[-1] + w_vals[0]
-    q = -u_ders[-1] - w_ders[0]
-    a = ((z * fs.cosh_hat * p - fs.sinh_hat * q) / det.mantissa) * math.exp(
-        z.real - det.log_scale
-    )
-    b = ((-s * math.sin(s) * p + 1j * s * math.cos(s) * q) / det.mantissa) * math.exp(
-        -det.log_scale
-    )
-    co = ResolventCoefficients(
-        s=s, M=fs.M, detM=det, a=a, b=b, rhs=np.array([p, q], dtype=complex)
-    )
-    return co, wave, heat
-
-
-def solve_coefficients(s: float, y: DataTriple) -> ResolventCoefficients:
-    """Boundary data, interface matrix and the constants (a, b) at frequency s."""
-    _check_frequency(s)
-    return _interface_solve(_FrequencySetup(s, y.n_wave, y.n_heat), y)[0]
+        b = ((-s * math.sin(s) * p + 1j * s * math.cos(s) * q) / det.mantissa) * math.exp(
+            -det.log_scale
+        )
+        u = a * self._cos - u_vals
+        u_prime = -s * a * self._sin - u_ders
+        w = -b * self._sinh + w_vals
+        x = StateVector(
+            u=u, v=1j * s * u - y.f, w=w, variant=BoundaryVariant.NEUMANN, u_prime=u_prime
+        )
+        return ResolventSolution(x, a, b, np.array([p, q], dtype=complex), wave, heat)
 
 
 def apply_resolvent(s: float, y: DataTriple) -> StateVector:
-    """Evaluate x = (is - A)^(-1) y on the data grids (Neumann variant).
-
-    The wave derivative is returned analytically (u_prime), not by
-    differencing, so the state norm uses the exact H^1 seminorm of the
-    closed form.
-    """
-    _check_frequency(s)
-    fs = _FrequencySetup(s, y.n_wave, y.n_heat)
-    return _resolvent_state(fs, y, *_interface_solve(fs, y))
-
-
-def _resolvent_state(fs: _FrequencySetup, y: DataTriple, co: ResolventCoefficients,
-                     wave, heat) -> StateVector:
-    """The resolvent state from ``_interface_solve``'s constants and profiles."""
-    (u_part, u_der_part), (w_part, _) = wave, heat
-    s = fs.s
-    u = co.a * fs.cos - u_part
-    u_prime = -s * co.a * fs.sin - u_der_part
-    v = 1j * s * u - y.f
-    w = -co.b * fs.sinh + w_part
-    return StateVector(
-        u=u, v=v, w=w, variant=BoundaryVariant.NEUMANN, u_prime=u_prime
-    )
+    """Evaluate x = (is - A)^(-1) y on the data grids (Neumann variant)."""
+    return ClosedFormResolvent(s, y.n_wave, y.n_heat).solve(y).state
 
 
 # ---------------------------------------------------------------------------
@@ -354,43 +323,22 @@ def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
     return 1.0 / math.sqrt(float(np.real(mu)))
 
 
-def random_smooth_triple(
-    s: float, grid: GridSpec, rng: np.random.Generator
-) -> DataTriple:
-    """Random smooth data with content at the frequency scales of the problem.
-
-    Low-order polynomials plus oscillation at rate s on the wave segment and
-    an interface boundary layer on the heat segment, so that randomized
-    norm sampling can excite the resonant response.  The frequency must be
-    one that ``apply_resolvent`` accepts.
-    """
-    return _FrequencySetup(s, grid.n_wave, grid.n_heat).random_triple(rng)
-
-
 def resolvent_norm_sampled(
-    s: float,
-    trials: int,
-    grid: GridSpec,
-    rng: np.random.Generator | int | None = None,
+    s: float, trials: int, grid: GridSpec, rng: np.random.Generator
 ) -> float:
     """Randomized lower bound on the resolvent norm via the closed form.
 
-    Maximizes ||x||_X / ||y||_X over random smooth data; an independent
-    code path from the matrix-based estimate.  The frequency set-up is
-    built once and applied to every trial, which is ``apply_resolvent``
-    on each ``random_smooth_triple`` draw.
+    Maximizes ||x||_X / ||y||_X over ``trials`` draws of
+    ``ClosedFormResolvent.random_triple``; an independent code path from
+    the matrix-based estimate.  One resolvent serves every trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    _check_frequency(s)
-    fs = _FrequencySetup(s, grid.n_wave, grid.n_heat)
+    resolvent = ClosedFormResolvent(s, grid.n_wave, grid.n_heat)
     best = 0.0
     for _ in range(trials):
-        y = fs.random_triple(rng)
-        x = _resolvent_state(fs, y, *_interface_solve(fs, y))
-        best = max(best, x.norm_X / y.norm_X)
+        y = resolvent.random_triple(rng)
+        best = max(best, resolvent.solve(y).state.norm_X / y.norm_X)
     return best
 
 

@@ -51,6 +51,7 @@ __all__ = [
 NEWTON_RESIDUAL_TOL = 1e-12
 NEWTON_STEP_TOL = 1e-13
 NEWTON_MAX_ITERS = 50
+CONTOUR_NODE_START = 256  # first refinement level of the winding count
 CONTOUR_NODE_CAP = 262144  # largest refinement level of the winding count
 
 
@@ -146,7 +147,7 @@ def _cut_intersects_circle(center: complex, radius: float) -> bool:
 
 
 def count_zeros_contour(
-    center: complex, radius: float, variant: BoundaryVariant, n_start: int = 256
+    center: complex, radius: float, variant: BoundaryVariant, n_start: int = CONTOUR_NODE_START
 ) -> int:
     """Argument-principle zero count of the determinant inside a circle.
 

@@ -30,8 +30,16 @@ def _scale(factor):
     return lambda real: lambda lam, v: real(lam, v) * factor
 
 
+def _lift_w(real):
+    """``ClosedFormResolvent.solve`` with w(1) != 0."""
+    def solve(self, y):
+        sol = real(self, y)
+        return sol._replace(state=dataclasses.replace(sol.state, w=sol.state.w + 1e-6))
+    return solve
+
+
 # check name -> (arguments that break its bound, and None or the binding to
-# wrap: (module, attribute, wrapper of the real function))
+# wrap: (module or class, attribute, wrapper of the real function))
 FAULTS = {
     "schwarz_reflection": (POINT_ARGS, (characteristic, "char_fn", _scale(1 + 1e-9j))),
     "scaled_unscaled_agreement": (POINT_ARGS, (characteristic, "char_fn", _scale(1 + 1e-11))),
@@ -43,10 +51,9 @@ FAULTS = {
     "polish": (([_record(5, -0.1 + 17j), _record(6, -0.1 + 20j, residual=1e-8)],), None),
     "conjugate_pairs": (([_record(5, -0.1 + 17j)], [_record(-6, -0.1 - 17.001j)]), None),
     "contour_counts": ((NEU, [1, 2, 1]), None),
-    "det_two_path": ((Y, (2.0, 17.0)), (resolvent, "solve_coefficients", lambda real: (
-        lambda s, y: SimpleNamespace(M=np.eye(2), detM=ScaledValue(2.0, 0.0))))),
-    "resolvent_coupling": ((10.0, Y), (resolvent, "_resolvent_state", lambda real: (
-        lambda *a: dataclasses.replace(real(*a), w=real(*a).w + 1e-6)))),  # w(1) != 0
+    "det_two_path": ((Y, (2.0, 17.0)), (resolvent, "ClosedFormResolvent", lambda real: (
+        lambda s, n_wave, n_heat: SimpleNamespace(M=np.eye(2), det=ScaledValue(2.0, 0.0))))),
+    "resolvent_coupling": ((10.0, Y), (resolvent.ClosedFormResolvent, "solve", _lift_w)),
     # the Dirichlet string is clamped: constant displacement is not stationary
     "kernel_vector": ((assemble(GridSpec(16, 16), DIR),), None),
     "kernel_functional_values": ((16,), (

@@ -16,15 +16,12 @@ from waveheat.errors import (
     ResolutionError,
 )
 from waveheat.resolvent import (
+    ClosedFormResolvent,
     apply_resolvent,
-    particular_heat,
-    particular_wave,
-    random_smooth_triple,
     required_grid,
     resolvent_norm_discrete,
     resolvent_norm_sampled,
     snap_to_resonance,
-    solve_coefficients,
     sweep,
 )
 from waveheat.state import DataTriple, heat_nodes, wave_nodes
@@ -49,6 +46,11 @@ def heat_data(h):
     return DataTriple(f=np.zeros(17), g=np.zeros(17), h=h)
 
 
+def resolvent_on(s, y):
+    """The closed-form resolvent at frequency s on the grids of data y."""
+    return ClosedFormResolvent(s, y.n_wave, y.n_heat)
+
+
 def _pack_data(gen, f, g, h) -> np.ndarray:
     """Right-hand-side data in generator coordinates; the interface row mass-averages g(0), h(0)."""
     hw, hh = gen.grid.h_wave, gen.grid.h_heat
@@ -71,18 +73,21 @@ def _dense_norm(disc, s) -> float:
 class TestParticularIntegrals:
     def test_wave_zero_data(self):
         zeros = np.zeros(33)
-        u_val, u_der = particular_wave(5.0, wave_data(zeros, zeros))
+        y = wave_data(zeros, zeros)
+        u_val, u_der = resolvent_on(5.0, y).particular_wave(y)
         assert not u_val.any() and not u_der.any()
 
     def test_wave_empty_range(self):
         # the first wave node is xi = -1, where the integration range is empty
         ones = np.ones(33)
-        u_val, u_der = particular_wave(5.0, wave_data(ones, ones))
+        y = wave_data(ones, ones)
+        u_val, u_der = resolvent_on(5.0, y).particular_wave(y)
         assert u_val[0] == 0 and u_der[0] == 0
 
     def test_wave_constant_data_oracle(self):
         ones, zeros = np.ones(65), np.zeros(65)
-        u_val, u_der = particular_wave(10.0, wave_data(ones, zeros))
+        y = wave_data(ones, zeros)
+        u_val, u_der = resolvent_on(10.0, y).particular_wave(y)
         assert u_val[-1] == pytest.approx(U_CONST_S10, rel=1e-8)
         assert u_der[-1] == pytest.approx(UP_CONST_S10, rel=1e-8)
 
@@ -105,20 +110,24 @@ class TestParticularIntegrals:
             for a, b in zip(cuts[:-1], cuts[1:])
             for part in (0, 1)
         )
-        got = particular_wave(s, wave_data(f, g))[0][node]
+        y = wave_data(f, g)
+        got = resolvent_on(s, y).particular_wave(y)[0][node]
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_heat_zero_data(self):
-        w_val, w_der = particular_heat(9.0, heat_data(np.zeros(17)))
+        y = heat_data(np.zeros(17))
+        w_val, w_der = resolvent_on(9.0, y).particular_heat(y)
         assert not w_val.any() and not w_der.any()
 
     def test_heat_empty_range(self):
         # the last heat node is xi = 1, where the integration range is empty
-        w_val, w_der = particular_heat(9.0, heat_data(np.ones(17)))
+        y = heat_data(np.ones(17))
+        w_val, w_der = resolvent_on(9.0, y).particular_heat(y)
         assert w_val[-1] == 0 and w_der[-1] == 0
 
     def test_heat_constant_data_oracle(self):
-        w_val, w_der = particular_heat(25.0, heat_data(np.ones(65)))
+        y = heat_data(np.ones(65))
+        w_val, w_der = resolvent_on(25.0, y).particular_heat(y)
         assert w_val[0] == pytest.approx(W_CONST_S25, rel=1e-8)
         assert w_der[0] == pytest.approx(WP_CONST_S25, rel=1e-8)
 
@@ -139,7 +148,8 @@ class TestParticularIntegrals:
             for a, b in zip(cuts[:-1], cuts[1:])
             for part in (0, 1)
         )
-        got = particular_heat(s, heat_data(h))[0][node]
+        y = heat_data(h)
+        got = resolvent_on(s, y).particular_heat(y)[0][node]
         assert got == pytest.approx(expected, rel=1e-8)
 
     # n = None takes the sweep grid; 16 cells at high |s| need subdivided cells
@@ -152,7 +162,8 @@ class TestParticularIntegrals:
         phi = 1j * s * f + g
         n = n or required_grid(s, factor=2.5).n_wave
         grid = wave_nodes(n)
-        u_val, u_der = particular_wave(s, wave_data(np.full(n + 1, f), np.full(n + 1, g)))
+        y = wave_data(np.full(n + 1, f), np.full(n + 1, g))
+        u_val, u_der = resolvent_on(s, y).particular_wave(y)
         theta = s * (grid + 1.0)
         u_err = np.abs(u_val - phi * (1.0 - np.cos(theta)) / s**2) / (2 * abs(phi) / s**2)
         d_err = np.abs(u_der - phi * np.sin(theta) / s) / (abs(phi) / abs(s))
@@ -169,7 +180,8 @@ class TestParticularIntegrals:
         z = principal_sqrt(1j * s)
         n = n or required_grid(s, factor=2.5).n_heat
         t = 1.0 - heat_nodes(n)
-        w_val, w_der = particular_heat(s, heat_data(np.full(n + 1, h)))
+        y = heat_data(np.full(n + 1, h))
+        w_val, w_der = resolvent_on(s, y).particular_heat(y)
         bound = h * np.cosh(z.real * t)
         w_err = np.abs(w_val - h * (1.0 - np.cosh(z * t)) / z**2) / ((h + bound) / abs(z) ** 2)
         d_err = np.abs(w_der - h * np.sinh(z * t) / z) / (bound / abs(z))
@@ -177,37 +189,54 @@ class TestParticularIntegrals:
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(DegenerateInputError):
-            particular_wave(0.0, wave_data(np.ones(9), np.ones(9)))
-        with pytest.raises(DegenerateInputError):
-            particular_heat(0.0, heat_data(np.ones(9)))
+            ClosedFormResolvent(0.0, 8, 16)
+
+    @pytest.mark.parametrize("n_wave, n_heat", [(32, 16), (16, 32)])
+    def test_data_on_another_grid_rejected(self, n_wave, n_heat, rng):
+        # as DiscreteGenerator.pack_state: a ValueError, not numpy broadcasting
+        y = smooth_triple(rng)(16, 16)
+        with pytest.raises(ValueError, match="given to a resolvent on 32"):
+            ClosedFormResolvent(10.0, n_wave, n_heat).solve(y)
 
 
 class TestCoefficients:
     def test_zero_data_gives_zero_constants(self):
         zero = DataTriple(f=np.zeros(33), g=np.zeros(33), h=np.zeros(33))
-        co = solve_coefficients(100.0, zero)
-        assert co.a == 0 and co.b == 0
+        sol = resolvent_on(100.0, zero).solve(zero)
+        assert sol.a == 0 and sol.b == 0
 
     def test_interface_system_satisfied(self, rng):
         make = smooth_triple(rng)
         y = make(64, 64)
-        co = solve_coefficients(100.0, y)
-        resid = co.M @ np.array([co.a, co.b]) - co.rhs
-        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(co.rhs)
+        cf = resolvent_on(100.0, y)
+        sol = cf.solve(y)
+        resid = cf.M @ np.array([sol.a, sol.b]) - sol.rhs
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(sol.rhs)
 
     @pytest.mark.parametrize("s", [2.0, 17.0, 313.0])
     def test_determinant_two_evaluation_orders(self, s, rng):
         assert checks.det_two_path(smooth_triple(rng)(48, 48), (s,)).passed
 
-    def test_small_frequency_warns(self):
-        y = DataTriple(f=np.zeros(17), g=np.zeros(17), h=np.zeros(17))
-        with pytest.warns(UserWarning):
-            solve_coefficients(0.5, y)
+    @pytest.mark.parametrize("entry", [
+        lambda s, y: resolvent_on(s, y).particular_wave(y),
+        lambda s, y: resolvent_on(s, y).particular_heat(y),
+        lambda s, y: resolvent_on(s, y).solve(y),
+        lambda s, y: resolvent_on(s, y).random_triple(np.random.default_rng(0)),
+        apply_resolvent,
+        lambda s, y: resolvent_norm_sampled(s, 2, GridSpec(16, 16), np.random.default_rng(0)),
+        lambda s, y: checks.det_two_path(y, (s,)),
+        lambda s, y: checks.resolvent_coupling(s, y),
+    ], ids=["particular_wave", "particular_heat", "solve", "random_triple", "apply_resolvent",
+            "resolvent_norm_sampled", "det_two_path", "resolvent_coupling"])
+    def test_every_entry_point_warns_below_two(self, entry, rng):
+        y = smooth_triple(rng)(16, 16)
+        with pytest.warns(UserWarning, match="outside the calibrated frequency range"):
+            entry(0.5, y)
 
     def test_zero_frequency_rejected(self):
         y = DataTriple(f=np.zeros(17), g=np.zeros(17), h=np.zeros(17))
         with pytest.raises(DegenerateInputError):
-            solve_coefficients(0.0, y)
+            resolvent_on(0.0, y).solve(y)
 
 
 class TestApplyResolvent:
@@ -379,13 +408,13 @@ class TestNorms:
         grid = required_grid(100.0, factor=2.0)
         disc = assemble(grid, NEU)
         discrete = resolvent_norm_discrete(100.0, disc)
-        sampled = resolvent_norm_sampled(100.0, 200, grid, 7)
+        sampled = resolvent_norm_sampled(100.0, 200, grid, np.random.default_rng(7))
         assert sampled >= 0.5 * discrete
         assert sampled <= 1.05 * discrete
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
-            resolvent_norm_sampled(10.0, 0, GridSpec(32, 32))
+            resolvent_norm_sampled(10.0, 0, GridSpec(32, 32), np.random.default_rng(0))
 
     # required_grid(100) has one panel per cell on both segments; on 16 cells
     # the string kernel needs 5 panels per cell
@@ -393,11 +422,12 @@ class TestNorms:
     def test_sampled_is_apply_resolvent_on_the_same_draws(self, grid):
         s, trials, seed = 100.0, 7, 11
         rng = np.random.default_rng(seed)
-        ratios = []
+        cf, ratios = ClosedFormResolvent(s, grid.n_wave, grid.n_heat), []
         for _ in range(trials):
-            y = random_smooth_triple(s, grid, rng)
+            y = cf.random_triple(rng)
             ratios.append(apply_resolvent(s, y).norm_X / y.norm_X)
-        assert resolvent_norm_sampled(s, trials, grid, seed) == max(ratios)
+        sampled = resolvent_norm_sampled(s, trials, grid, np.random.default_rng(seed))
+        assert sampled == max(ratios)
 
     @pytest.mark.parametrize("s, error", [
         (0.0, DegenerateInputError),
@@ -405,7 +435,7 @@ class TestNorms:
     ])
     def test_sampled_rejects_frequency(self, s, error):
         with pytest.raises(error):
-            resolvent_norm_sampled(s, 3, GridSpec(32, 32), 0)
+            resolvent_norm_sampled(s, 3, GridSpec(32, 32), np.random.default_rng(0))
 
     def test_grid_refinement_stability(self):
         grid = required_grid(30.0, factor=2.5)

@@ -402,7 +402,10 @@ class TestPhiWeights:
         disc = assemble(GridSpec(n_wave, n_heat), variant)
         z = data.draw(arrays(float, disc.dim, elements=st.floats(-1e6, 1e6)))
         phi = kernel_functional(disc.unpack(z))
-        assert abs(phi_weights(disc) @ z - phi) <= 1e-14 * np.abs(z).sum()
+        # subnormal products round to multiples of 2**-1074: an absolute
+        # term of one such unit per entry, on top of the relative one
+        assert abs(phi_weights(disc) @ z - phi) <= (1e-14 * np.abs(z).sum()
+                                                     + disc.dim * 2.0**-1074)
 
 
 class TestDecayFit:
