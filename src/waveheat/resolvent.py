@@ -15,7 +15,11 @@ The quotients of exponentially large terms in (a, b) are computed as
 mantissa ratios with log-scale subtraction.  Everything the data do not
 enter (kernel quadrature, exponentials, the determinant and the
 homogeneous profiles) is set up once per frequency and grid, by the
-constructor of ``ClosedFormResolvent``.
+constructor of ``ClosedFormResolvent``.  The data grids have cells of one
+width, so the kernel quadrature folds into two weights per cell: each
+exponential splits into a node, a cell and a panel factor, each of modulus
+at most exp(|Re kappa| (x_n - x_0)) on the grid x_0 < ... < x_n, and a
+particular integral costs a few operations and one prefix sum per cell.
 
 These formulas hold for the Neumann variant.  The discrete norm estimator
 works for either variant through the assembled generator.
@@ -72,33 +76,52 @@ class _KernelIntegrals:
         C(x_j) = int_{x_0}^{x_j} cosh(kappa (x_j - r)) d(r) dr
     and d linear on each cell.  Every cell is split into the same number
     of equal panels, none wider than a fifth of 2 pi/|kappa| or 1/4, with
-    6-point Gauss-Legendre on each; the node values are prefix sums of the
-    per-cell moments.  Each exponential is split into two factors of
-    modulus at most exp(|Re kappa| (x_n - x_0)).  The quadrature and the
-    exponentials depend on (kappa, x) only and are built once.
+    6-point Gauss-Legendre on each.  The cells must have one width h, up to
+    rounding (ValueError otherwise), so the exponential at a point x_c + h t
+    of cell c is a cell factor exp(-/+kappa (x_c - x_ref)) times a panel
+    factor exp(-/+kappa h t) that all cells share, with x_ref = x_0 for the
+    growing and x_n for the decaying exponential.  The Gauss sums thereby
+    fold into per-cell weights (A_c, B_c) of d_c and d_{c+1} - d_c, built
+    once from one exponential per cell and factor and the 6m panel
+    exponentials; a call forms the moments d_c A_c + (d_{c+1} - d_c) B_c
+    and their prefix sums.  Each exponential is split into a node, a cell
+    and a panel factor, each of modulus at most exp(|Re kappa| (x_n - x_0)).
     """
 
     def __init__(self, kappa: complex, x: np.ndarray):
         dx = np.diff(x)
+        h = (x[-1] - x[0]) / len(dx)
+        # linspace widths stay within eps max|x| of their mean
+        if np.abs(dx - h).max() > 4.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1])):
+            raise ValueError("kernel integrals need cells of one width")
         width = min(2.0 * math.pi / (5.0 * max(abs(kappa), 1.0)), 0.25)
         m = max(1, math.ceil(dx.max() / width))
         # quadrature points of a cell as fractions of its width, panel by panel
-        self._frac = frac = ((np.arange(m)[:, None] + 0.5 * (1.0 + _GL_NODES)) / m).ravel()
-        pts = x[:-1, None] + dx[:, None] * frac
-        self._weights = dx[:, None] * np.tile(_GL_WEIGHTS / (2 * m), m)
-        # (node factor, point factor) of the growing and the decaying exponential
-        self._grow = np.exp(kappa * (x - x[0])), np.exp(-kappa * (pts - x[0]))
-        self._decay = np.exp(kappa * (x[-1] - x)), np.exp(kappa * (pts - x[-1]))
+        frac = ((np.arange(m)[:, None] + 0.5 * (1.0 + _GL_NODES)) / m).ravel()
+        weights = np.tile(_GL_WEIGHTS / (2 * m), m)
+
+        def fold(cell, panel):
+            # the weights (A_c, B_c) of d_c and d_{c+1} - d_c in cell c's moment
+            wp = weights * panel
+            scale = dx * cell
+            return scale * wp.sum(), scale * (wp * frac).sum()
+
+        # (node factor, cell weights) of the growing and the decaying exponential
+        self._grow = np.exp(kappa * (x - x[0])), fold(
+            np.exp(-kappa * (x[:-1] - x[0])), np.exp(-kappa * h * frac))
+        self._decay = np.exp(kappa * (x[-1] - x)), fold(
+            np.exp(kappa * (x[:-1] - x[-1])), np.exp(kappa * h * frac))
 
     def __call__(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        wd = self._weights * (d[:-1, None] + (d[1:] - d[:-1])[:, None] * self._frac)
+        start, jump = d[:-1], d[1:] - d[:-1]
 
-        def prefix(moments):
-            return np.concatenate([[0.0], np.cumsum(moments.sum(axis=1))])
+        def prefix(cell_weights):
+            a, b = cell_weights
+            return np.concatenate([[0.0], np.cumsum(start * a + jump * b)])
 
-        (grow_x, grow_pts), (decay_x, decay_pts) = self._grow, self._decay
-        grow = grow_x * prefix(grow_pts * wd)
-        decay = decay_x * prefix(decay_pts * wd)
+        (grow_x, grow_w), (decay_x, decay_w) = self._grow, self._decay
+        grow = grow_x * prefix(grow_w)
+        decay = decay_x * prefix(decay_w)
         return 0.5 * (grow - decay), 0.5 * (grow + decay)
 
 
@@ -200,17 +223,21 @@ class ClosedFormResolvent:
 
         Low-order polynomials plus oscillation at rate s on the wave segment
         and an interface boundary layer on the heat segment, so that
-        randomized norm sampling can excite the resonant response.
+        randomized norm sampling can excite the resonant response.  One
+        draw of 60 normals holds the nine complex coefficient vectors, three
+        of lengths 4, 3, 3 for each of f, g and h in turn, each vector as its
+        real parts followed by its imaginary parts.
         """
+        draw = iter(np.split(rng.standard_normal(60), np.cumsum([4, 4, 3, 3, 3, 3] * 3)[:-1]))
 
-        def rpoly(n, x):
-            return polyval(x, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        def rpoly(x):
+            return polyval(x, next(draw) + 1j * next(draw))
 
         xw, (osc_re, osc_im) = self._xw, self._osc
         xh, (layer_re, layer_im) = self._xh, self._layer
-        f = rpoly(4, xw) + rpoly(3, xw) * osc_re + rpoly(3, xw) * osc_im
-        g = rpoly(4, xw) + rpoly(3, xw) * osc_re + rpoly(3, xw) * osc_im
-        h = rpoly(4, xh) + rpoly(3, xh) * layer_re + rpoly(3, xh) * layer_im
+        f = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
+        g = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
+        h = rpoly(xh) + rpoly(xh) * layer_re + rpoly(xh) * layer_im
         return DataTriple(f=f, g=g, h=h)
 
     def solve(self, y: DataTriple) -> ResolventSolution:

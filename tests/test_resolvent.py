@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -16,7 +17,10 @@ from waveheat.errors import (
     ResolutionError,
 )
 from waveheat.resolvent import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     ClosedFormResolvent,
+    _KernelIntegrals,
     apply_resolvent,
     required_grid,
     resolvent_norm_discrete,
@@ -197,6 +201,73 @@ class TestParticularIntegrals:
         y = smooth_triple(rng)(16, 16)
         with pytest.raises(ValueError, match="given to a resolvent on 32"):
             ClosedFormResolvent(10.0, n_wave, n_heat).solve(y)
+
+
+def _per_point_kernel_integrals(kappa, x, d):
+    """The kernel integrals as one Gauss sum per quadrature point, the oracle of the fold.
+
+    The same panels, nodes and split exponentials as ``_KernelIntegrals``, but
+    with an exponential at every quadrature point of every cell.  Returns
+    (S, C, T, m): T_j = 1/2 the sum over both exponentials of the moduli of the
+    point terms of node j, each taken with |d_c| + |d_(c+1) - d_c| t for the
+    data, and m the panels per cell.
+    """
+    dx = np.diff(x)
+    width = min(2.0 * math.pi / (5.0 * max(abs(kappa), 1.0)), 0.25)
+    m = max(1, math.ceil(dx.max() / width))
+    frac = ((np.arange(m)[:, None] + 0.5 * (1.0 + _GL_NODES)) / m).ravel()
+    pts = x[:-1, None] + dx[:, None] * frac
+    weights = dx[:, None] * np.tile(_GL_WEIGHTS / (2 * m), m)
+    wd = weights * (d[:-1, None] + (d[1:] - d[:-1])[:, None] * frac)
+    wd_abs = weights * (np.abs(d[:-1, None]) + np.abs(d[1:] - d[:-1])[:, None] * frac)
+
+    def prefix(moments):
+        return np.concatenate([[0.0], np.cumsum(moments.sum(axis=1))])
+
+    grow_x, grow_pts = np.exp(kappa * (x - x[0])), np.exp(-kappa * (pts - x[0]))
+    decay_x, decay_pts = np.exp(kappa * (x[-1] - x)), np.exp(kappa * (pts - x[-1]))
+    grow, decay = grow_x * prefix(grow_pts * wd), decay_x * prefix(decay_pts * wd)
+    total = 0.5 * (np.abs(grow_x) * prefix(np.abs(grow_pts) * wd_abs)
+                   + np.abs(decay_x) * prefix(np.abs(decay_pts) * wd_abs))
+    return 0.5 * (grow - decay), 0.5 * (grow + decay), total, m
+
+
+class TestKernelFold:
+    # (s, kernel); Re sqrt(is) = 200 at s = 80000
+    CASES = [(s, k) for s in (2.0, 100.0, 1000.0) for k in ("wave", "heat")] + [(8e4, "heat")]
+
+    # required_grid(100) has one panel per cell on both segments at s = 100;
+    # on 16 cells the string kernel needs 5 panels per cell
+    @pytest.mark.parametrize("grid", [required_grid(100.0), GridSpec(16, 16)])
+    @pytest.mark.parametrize("s, kernel", CASES)
+    def test_fold_changes_only_rounding(self, s, kernel, grid, rng):
+        # The kernels and grids of ClosedFormResolvent.  To first order, each
+        # path's error at node j is at most k eps T_j, with k = |kappa| times
+        # the rounding of its exponentials' arguments in units of eps (the
+        # fold's panel factor takes the mean width, within 4 eps X of each
+        # cell's), plus (6m + n)/2 for the depth of its sums, plus a few
+        # for its products and exponentials; K adds both paths' k and the
+        # final sum's rounding.  CHANGES.md derives it term by term.
+        if kernel == "wave":
+            kappa, x = 1j * s, wave_nodes(grid.n_wave)
+        else:
+            kappa, x = principal_sqrt(1j * s), 1.0 - heat_nodes(grid.n_heat)[::-1]
+        d = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
+        sinh_oracle, cosh_oracle, total, m = _per_point_kernel_integrals(kappa, x, d)
+        sinh_int, cosh_int = _KernelIntegrals(kappa, x)(d)
+        big_x, span, n = max(abs(x[0]), abs(x[-1])), x[-1] - x[0], len(x) - 1
+        k = abs(kappa) * (4.5 * big_x + 2.0 * span + 2.5 * span / n) + 6 * m + n + 20
+        bound = k * np.finfo(float).eps * total
+        assert np.all(np.abs(sinh_int - sinh_oracle) <= bound)
+        assert np.all(np.abs(cosh_int - cosh_oracle) <= bound)
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, 0.25, 0.5, 1.0]),
+        np.linspace(0.0, 1.0, 17) + np.r_[0.0, 1e-13, np.zeros(15)],
+    ], ids=["unequal", "perturbed"])
+    def test_unequal_cells_rejected(self, x):
+        with pytest.raises(ValueError, match="cells of one width"):
+            _KernelIntegrals(10j, x)
 
 
 class TestCoefficients:
@@ -428,6 +499,30 @@ class TestNorms:
             ratios.append(apply_resolvent(s, y).norm_X / y.norm_X)
         sampled = resolvent_norm_sampled(s, trials, grid, np.random.default_rng(seed))
         assert sampled == max(ratios)
+
+    @pytest.mark.parametrize("grid", [required_grid(100.0), GridSpec(16, 16)])
+    def test_random_triple_keeps_the_draw_order(self, grid):
+        # random_triple takes one draw of 60 normals; its triples are the
+        # ones drawn with 18 calls, one per real or imaginary coefficient vector
+        s, xw, xh = 100.0, wave_nodes(grid.n_wave), heat_nodes(grid.n_heat)
+        osc, layer = np.exp(1j * s * xw), np.exp(-principal_sqrt(1j * s) * xh)
+
+        def triple_by_18_calls(rng):
+            def rpoly(n, x):
+                return polyval(x, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+            f = rpoly(4, xw) + rpoly(3, xw) * osc.real + rpoly(3, xw) * osc.imag
+            g = rpoly(4, xw) + rpoly(3, xw) * osc.real + rpoly(3, xw) * osc.imag
+            h = rpoly(4, xh) + rpoly(3, xh) * layer.real + rpoly(3, xh) * layer.imag
+            return f, g, h
+
+        cf = ClosedFormResolvent(s, grid.n_wave, grid.n_heat)
+        for seed in (0, 1, 11):
+            rng, rng_18 = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                y = cf.random_triple(rng)
+                for got, expected in zip((y.f, y.g, y.h), triple_by_18_calls(rng_18)):
+                    assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("s, error", [
         (0.0, DegenerateInputError),
