@@ -8,7 +8,6 @@ with Neumann or Dirichlet conditions at the far string end.
 
 from .characteristic import (
     BoundaryVariant,
-    ComplexFrequency,
     ScaledValue,
     char_fn,
     char_fn_deriv,
@@ -42,6 +41,6 @@ from .spectrum import (
     polish,
     seeds,
 )
-from .state import DataTriple, StateVector
+from .state import StateVector
 
 __version__ = "0.1.0"

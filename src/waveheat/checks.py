@@ -113,7 +113,7 @@ def contour_counts(variant, counts: list[int]) -> Check:
                  f"counts {counts}")
 
 
-def det_two_path(y: state.DataTriple, frequencies) -> Check:
+def det_two_path(y: state.StateVector, frequencies) -> Check:
     """det M of the 2x2 interface matrix equals the scaled determinant."""
     systems = (resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat) for s in frequencies)
     return _relative("det_two_path", 1e-10, (
@@ -121,7 +121,7 @@ def det_two_path(y: state.DataTriple, frequencies) -> Check:
         for cf in systems))
 
 
-def resolvent_coupling(s: float, y: state.DataTriple) -> Check:
+def resolvent_coupling(s: float, y: state.StateVector) -> Check:
     """Boundary and interface residuals of the closed-form resolvent, relative to |y|."""
     sol = resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat).solve(y)
     x = sol.state
@@ -213,7 +213,7 @@ def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
         yield contour_counts(variant, [spectrum.count_zeros_contour(d.center, d.radius, variant)
                                        for d in spectrum.seeds(variant, 25) if d.n in (5, 12, 25)])
     xw, xh = state.wave_nodes(64), state.heat_nodes(64)
-    y = state.DataTriple(f=np.cos(xw), g=np.sin(2 * xw), h=xh * (1 - xh))
+    y = state.StateVector(u=np.cos(xw), v=np.sin(2 * xw), w=xh * (1 - xh))
     yield det_two_path(y, (2.0, 17.0, 313.0))
     yield resolvent_coupling(10.0, y)
     grid = discretization.GridSpec(128, 128)

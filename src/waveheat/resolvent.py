@@ -21,8 +21,11 @@ exponential splits into a node, a cell and a panel factor, each of modulus
 at most exp(|Re kappa| (x_n - x_0)) on the grid x_0 < ... < x_n, and a
 particular integral costs a few operations and one prefix sum per cell.
 
-These formulas hold for the Neumann variant.  The discrete norm estimator
-works for either variant through the assembled generator.
+The data y and the solution x are both ``StateVector``s, y = (f, g, h)
+held as (u, v, w).  These formulas hold for the Neumann variant, and
+``ClosedFormResolvent.solve`` raises VariantError for data of another
+variant.  The discrete norm estimator works for either variant through the
+assembled generator.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ from .errors import (
     OverflowEvaluationError,
     ResolutionError,
     SingularSystemError,
+    VariantError,
 )
-from .state import DataTriple, StateVector, heat_nodes, wave_nodes
+from .state import StateVector, heat_nodes, wave_nodes
 
 __all__ = [
     "ClosedFormResolvent",
@@ -192,33 +196,34 @@ class ClosedFormResolvent:
         osc, layer = np.exp(1j * s * xw), np.exp(-z * xh)
         self._osc, self._layer = (osc.real, osc.imag), (layer.real, layer.imag)
 
-    def particular_wave(self, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
+    def particular_wave(self, y: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """Particular integral of the forced oscillator at every wave node.
 
         Returns (U, U') with
             U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
             U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
-        for the piecewise-linear data: the kernel integrals with kappa = is.
+        for the piecewise-linear data (f, g) = (y.u, y.v): the kernel
+        integrals with kappa = is.
         """
-        _check_segment("wave", y.f, self._xw)
+        _check_segment("wave", y.u, self._xw)
         s = self.s
-        sinh_int, cosh_int = self._wave(1j * s * y.f + y.g)
+        sinh_int, cosh_int = self._wave(1j * s * y.u + y.v)
         return sinh_int / (1j * s), cosh_int
 
-    def particular_heat(self, y: DataTriple) -> tuple[np.ndarray, np.ndarray]:
+    def particular_heat(self, y: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """Particular integral of the forced diffusion operator at every heat node.
 
         Returns (W, W') with
             W(xi)  = -(1/sqrt(is)) int_xi^1 sinh(sqrt(is) (r - xi)) h(r) dr
             W'(xi) = int_xi^1 cosh(sqrt(is) (r - xi)) h(r) dr
-        the kernel integrals with kappa = sqrt(is) in the reflected variable
-        1 - xi.
+        for h = y.w: the kernel integrals with kappa = sqrt(is) in the
+        reflected variable 1 - xi.
         """
-        _check_segment("heat", y.h, self._xh)
-        sinh_int, cosh_int = self._heat(y.h[::-1])
+        _check_segment("heat", y.w, self._xh)
+        sinh_int, cosh_int = self._heat(y.w[::-1])
         return (-sinh_int / self.z)[::-1], cosh_int[::-1]
 
-    def random_triple(self, rng: np.random.Generator) -> DataTriple:
+    def random_triple(self, rng: np.random.Generator) -> StateVector:
         """Random smooth data with content at the frequency scales of the problem.
 
         Low-order polynomials plus oscillation at rate s on the wave segment
@@ -238,21 +243,23 @@ class ClosedFormResolvent:
         f = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
         g = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
         h = rpoly(xh) + rpoly(xh) * layer_re + rpoly(xh) * layer_im
-        return DataTriple(f=f, g=g, h=h)
+        return StateVector(u=f, v=g, w=h)
 
-    def solve(self, y: DataTriple) -> ResolventSolution:
+    def solve(self, y: StateVector) -> ResolventSolution:
         """x = (is - A)^(-1) y on the data grids, with its interface constants.
 
-        The interface system M (a, b) = (p, q) is solved by Cramer's rule,
-        its exponentially large terms as mantissa ratios with log-scale
-        subtraction.  The wave derivative is returned analytically
-        (u_prime), not by differencing, so the state norm uses the exact
-        H^1 seminorm of the closed form.
+        Raises VariantError for Dirichlet data.  The interface system
+        M (a, b) = (p, q) is solved by Cramer's rule, its exponentially
+        large terms as mantissa ratios with log-scale subtraction.  The wave
+        derivative is returned analytically (u_prime), not by differencing,
+        so the state norm uses the exact H^1 seminorm of the closed form.
         """
+        if y.variant is not BoundaryVariant.NEUMANN:
+            raise VariantError("the closed-form resolvent applies to the Neumann variant only")
         s, z, det = self.s, self.z, self.det
         wave, heat = self.particular_wave(y), self.particular_heat(y)
         (u_vals, u_ders), (w_vals, w_ders) = wave, heat
-        p = complex(y.f[-1]) + 1j * s * u_vals[-1] + w_vals[0]
+        p = complex(y.u[-1]) + 1j * s * u_vals[-1] + w_vals[0]
         q = -u_ders[-1] - w_ders[0]
         a = ((z * self._cosh_hat * p - self._sinh_hat * q) / det.mantissa) * math.exp(
             z.real - det.log_scale
@@ -264,13 +271,13 @@ class ClosedFormResolvent:
         u_prime = -s * a * self._sin - u_ders
         w = -b * self._sinh + w_vals
         x = StateVector(
-            u=u, v=1j * s * u - y.f, w=w, variant=BoundaryVariant.NEUMANN, u_prime=u_prime
+            u=u, v=1j * s * u - y.u, w=w, variant=BoundaryVariant.NEUMANN, u_prime=u_prime
         )
         return ResolventSolution(x, a, b, np.array([p, q], dtype=complex), wave, heat)
 
 
-def apply_resolvent(s: float, y: DataTriple) -> StateVector:
-    """Evaluate x = (is - A)^(-1) y on the data grids (Neumann variant)."""
+def apply_resolvent(s: float, y: StateVector) -> StateVector:
+    """Evaluate x = (is - A)^(-1) y on the data grids (Neumann data only)."""
     return ClosedFormResolvent(s, y.n_wave, y.n_heat).solve(y).state
 
 

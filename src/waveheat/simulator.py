@@ -100,6 +100,7 @@ class CrankNicolsonStepper:
     is built from the same bands of A.  The system is factored once (LAPACK
     pttrf); the coupling a M A_qu is zero in the w rows and tridiagonal in
     the v rows, and is kept in LAPACK band storage for one gbmv product per step.
+    A is real, and only real states are stepped: ``run`` refuses complex data.
     """
 
     def __init__(self, disc: DiscreteGenerator, dt: float):
@@ -129,20 +130,9 @@ class CrankNicolsonStepper:
     def advance(self, z: np.ndarray, mid: np.ndarray) -> None:
         """One step in place: z becomes z+ and mid the midpoint (z + z+)/2.
 
-        ``z`` and ``mid`` are contiguous float64 or complex128 vectors of
-        length dim; BLAS and LAPACK write into them directly.  A complex
-        state advances its real and imaginary parts, since A is real.
+        ``z`` and ``mid`` are contiguous float64 vectors of length dim;
+        BLAS and LAPACK write into them directly.
         """
-        if z.dtype.kind == "c":
-            parts, part_mids = np.stack([z.real, z.imag]), np.empty((2, len(z)))
-            for part, part_mid in zip(parts, part_mids):
-                self._advance_real(part, part_mid)
-            z[:] = parts[0] + 1j * parts[1]
-            mid[:] = part_mids[0] + 1j * part_mids[1]
-        else:
-            self._advance_real(z, mid)
-
-    def _advance_real(self, z: np.ndarray, mid: np.ndarray) -> None:
         nu = self._n_u
         m_q = mid[nu:]
         np.multiply(self._mass, z[nu:], out=m_q)  # M z_q
@@ -169,7 +159,7 @@ class _HeatDissipation:
     the state z is checked in full.
     """
 
-    def __init__(self, disc: DiscreteGenerator, rows: int, dtype):
+    def __init__(self, disc: DiscreteGenerator, rows: int):
         form = disc.W_diss
         nz_rows, nz_cols = form.nonzero()
         self._lo = lo = int(nz_rows.min(initial=disc.dim))
@@ -177,15 +167,13 @@ class _HeatDissipation:
             raise SolveFailureError(
                 f"dissipation form reaches columns before its heat slice at slot {lo}")
         self._form = form[lo:, lo:]
-        self._cols = np.empty(rows * (disc.dim - lo), dtype=dtype)
+        self._cols = np.empty(rows * (disc.dim - lo))
 
     def __call__(self, mids: np.ndarray, z: np.ndarray, dt: float) -> float:
         heat = mids[:, self._lo :]
         block = self._cols[: heat.size].reshape(heat.shape[::-1])
         np.copyto(block, heat.T)
-        # real and imaginary parts side by side: the sum is Re vdot(block, W block)
-        total = dt * float(np.einsum(
-            "ij,ij->", block.view(float), (self._form @ block).view(float)))
+        total = dt * float(np.einsum("ij,ij->", block, self._form @ block))
         if not (math.isfinite(total) and np.all(np.isfinite(z))):
             raise SolveFailureError("non-finite state after implicit solve")
         return total
@@ -198,17 +186,20 @@ def run(x0: StateVector, config: SimulationConfig) -> EnergySeries:
     for which the trapezoidal rule satisfies the energy balance exactly.
     The stepper writes each midpoint into a row of a block buffer, and the
     dissipation form is applied once per block of at most BLOCK_STEPS
-    steps.  phi is one dot product with ``phi_weights``.
+    steps.  phi is one dot product with ``phi_weights``.  Complex data
+    raise ValueError: the generator is real, and only real states are stepped.
     """
     disc = assemble(config.grid, config.variant)
     stepper = CrankNicolsonStepper(disc, config.dt)
     z = disc.pack_state(x0)
-    z = z.astype(complex if np.iscomplexobj(z) else float)
+    if np.iscomplexobj(z):
+        raise ValueError("run steps real states only; the initial data are complex")
+    z = z.astype(float)
     weights = phi_weights(disc)
     n_steps = int(round(config.t_max / config.dt))
     stride = config.output_stride
-    mids = np.empty((min(stride, BLOCK_STEPS), disc.dim), dtype=z.dtype)
-    dissipation_of = _HeatDissipation(disc, len(mids), z.dtype)
+    mids = np.empty((min(stride, BLOCK_STEPS), disc.dim))
+    dissipation_of = _HeatDissipation(disc, len(mids))
 
     times = [0.0]
     energies = [disc.energy(z)]
@@ -292,7 +283,6 @@ class DecayFit:
     slope: float
     stderr: float
     k: int
-    local_slopes: tuple[tuple[float, float], ...] = ()
 
 
 def _window_slope(ts: np.ndarray, es: np.ndarray) -> tuple[float, float]:
@@ -311,8 +301,8 @@ def fit_decay(
     """Least-squares log-log slope of the energy over a time window.
 
     The window must span at least a factor 4 in time and contain at least
-    10 samples with energy above the round-off floor.  Local slopes over
-    sliding half-windows are attached to expose drift of the exponent.
+    10 samples with energy above the round-off floor.  ``decade_slopes``
+    shows the drift of the exponent.
     """
     t_lo, t_hi = window
     if t_hi < 4.0 * t_lo or t_lo <= 0.0:
@@ -325,20 +315,7 @@ def fit_decay(
     if np.any(es <= floor):
         raise WindowError("window reaches the round-off energy floor")
     slope, stderr = _window_slope(ts, es)
-    locals_: list[tuple[float, float]] = []
-    ratio = t_hi / t_lo
-    n_sub = max(2, int(round(math.log(ratio) / math.log(2.0))))
-    for j in range(n_sub):
-        a = t_lo * ratio ** (j / n_sub)
-        b = t_lo * ratio ** ((j + 1) / n_sub)
-        m = (ts >= a) & (ts <= b)
-        if np.count_nonzero(m) >= 5:
-            sl, _ = _window_slope(ts[m], es[m])
-            locals_.append((math.sqrt(a * b), sl))
-    return DecayFit(
-        window=(t_lo, t_hi), slope=slope, stderr=stderr, k=k,
-        local_slopes=tuple(locals_),
-    )
+    return DecayFit(window=(t_lo, t_hi), slope=slope, stderr=stderr, k=k)
 
 
 def last_clean_decade(series: EnergySeries) -> tuple[float, float]:
@@ -372,7 +349,7 @@ def decade_slopes(series: EnergySeries) -> list[tuple[float, float]]:
     return out
 
 
-def _local_slopes(ts: np.ndarray, es: np.ndarray) -> np.ndarray:
+def _local_slope_column(ts: np.ndarray, es: np.ndarray) -> np.ndarray:
     """Least-squares slope of log E against log t over each centred 5-row window.
 
     NaN for the two rows at each end and for any window that touches
@@ -397,7 +374,7 @@ def write_energy_csv(series: EnergySeries, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "E", "dissipation_rate", "phi", "local_slope"])
-        logs = _local_slopes(ts, es)
+        logs = _local_slope_column(ts, es)
         for i in range(len(ts)):
             dt_int = ts[i] - ts[i - 1] if i > 0 else math.nan
             rate = series.dissipation[i] / dt_int if i > 0 else 0.0
@@ -407,7 +384,7 @@ def write_energy_csv(series: EnergySeries, path) -> None:
                     f"{ts[i]:.9e}",
                     f"{es[i]:.16e}",
                     f"{rate:.16e}",
-                    f"{float(np.real(phi)):.16e}",
+                    f"{phi:.16e}",
                     f"{logs[i]:.6e}" if math.isfinite(logs[i]) else "nan",
                 ]
             )

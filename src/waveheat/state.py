@@ -1,4 +1,4 @@
-"""Grid containers for data triples and state vectors.
+"""Grid container for elements of the state space.
 
 The state space is H^1(-1,0) x L^2(-1,0) x L^2(0,1): a wave displacement u
 and velocity v on [-1,0] and a temperature w on [0,1].  Both intervals are
@@ -6,7 +6,9 @@ discretized by uniform node grids; L^2 quantities use trapezoidal
 quadrature and the H^1 seminorm uses cell-wise difference quotients (the
 exact Dirichlet energy of the piecewise-linear interpolant), so that the
 norms here agree with the Gram matrices assembled for the discrete
-generator.
+generator.  One ``StateVector`` holds a state or, since the resolvent
+equation (is - A)x = y has y in the same space, its data y = (f, g, h) as
+(u, v, w).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .characteristic import BoundaryVariant
 
-__all__ = ["wave_nodes", "heat_nodes", "DataTriple", "StateVector"]
+__all__ = ["wave_nodes", "heat_nodes", "StateVector"]
 
 
 def wave_nodes(n_wave: int) -> np.ndarray:
@@ -39,55 +41,8 @@ def _diff_sq(values: np.ndarray, h: float) -> float:
 
 
 @dataclass
-class DataTriple:
-    """Right-hand-side data (f, g, h) sampled on the two node grids."""
-
-    f: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f)
-        self.g = np.asarray(self.g)
-        self.h = np.asarray(self.h)
-        if self.f.shape != self.g.shape:
-            raise ValueError("f and g must share the wave grid")
-        if self.f.ndim != 1 or self.h.ndim != 1:
-            raise ValueError("data must be 1-D node arrays")
-
-    @property
-    def n_wave(self) -> int:
-        return len(self.f) - 1
-
-    @property
-    def n_heat(self) -> int:
-        return len(self.h) - 1
-
-    @property
-    def xi_wave(self) -> np.ndarray:
-        return wave_nodes(self.n_wave)
-
-    @property
-    def xi_heat(self) -> np.ndarray:
-        return heat_nodes(self.n_heat)
-
-    @property
-    def norm_X(self) -> float:
-        """H^1 x L^2 x L^2 norm with difference-quotient derivative for f."""
-        hw, hh = 1.0 / self.n_wave, 1.0 / self.n_heat
-        return float(
-            np.sqrt(
-                _trapz_sq(self.f, hw)
-                + _diff_sq(self.f, hw)
-                + _trapz_sq(self.g, hw)
-                + _trapz_sq(self.h, hh)
-            )
-        )
-
-
-@dataclass
 class StateVector:
-    """State (u, v, w) on the node grids, optionally with an exact u'.
+    """State or resolvent data (u, v, w) on the node grids, optionally with an exact u'.
 
     When ``u_prime`` is supplied (closed-form solutions carry it) the H^1
     seminorm uses it via trapezoidal quadrature; otherwise difference
@@ -106,6 +61,8 @@ class StateVector:
         self.w = np.asarray(self.w)
         if self.u.shape != self.v.shape:
             raise ValueError("u and v must share the wave grid")
+        if self.u.ndim != 1 or self.w.ndim != 1:
+            raise ValueError("states must be 1-D node arrays")
         if self.u_prime is not None:
             self.u_prime = np.asarray(self.u_prime)
 

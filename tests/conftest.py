@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from waveheat.characteristic import BoundaryVariant
-from waveheat.state import DataTriple, heat_nodes, wave_nodes
+from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 # polished determinant roots (branch index -> root), mpmath findroot, dps=40
 NEUMANN_ROOTS = {
@@ -67,17 +67,20 @@ def mp_charfn(lam: complex, variant: BoundaryVariant, dps: int = 40) -> complex:
 def smooth_triple(rng):
     """Random quartic data; the returned function samples it on (n_w, n_h) node grids."""
     pf, pg, ph = (np.polynomial.Polynomial(rng.standard_normal(5)) for _ in range(3))
-    return lambda n_w, n_h: DataTriple(
-        f=pf(wave_nodes(n_w)), g=pg(wave_nodes(n_w)), h=ph(heat_nodes(n_h)))
+    return lambda n_w, n_h: StateVector(
+        u=pf(wave_nodes(n_w)), v=pg(wave_nodes(n_w)), w=ph(heat_nodes(n_h)))
 
 
 def defining_residual(s, y, x):
-    """Summed L2 norms of the interior residuals of (is - A) x = y by central differences."""
+    """Summed L2 norms of the interior residuals of (is - A) x = y by central differences.
+
+    The data y = (f, g, h) are held as (y.u, y.v, y.w).
+    """
     hw, hh = 1.0 / y.n_wave, 1.0 / y.n_heat
     d2u = (x.u[:-2] - 2 * x.u[1:-1] + x.u[2:]) / hw**2
-    res_u = d2u + s**2 * x.u[1:-1] + 1j * s * y.f[1:-1] + y.g[1:-1]
+    res_u = d2u + s**2 * x.u[1:-1] + 1j * s * y.u[1:-1] + y.v[1:-1]
     d2w = (x.w[:-2] - 2 * x.w[1:-1] + x.w[2:]) / hh**2
-    res_w = d2w - 1j * s * x.w[1:-1] + y.h[1:-1]
+    res_w = d2w - 1j * s * x.w[1:-1] + y.w[1:-1]
     return (math.sqrt(hw * float(np.sum(np.abs(res_u) ** 2)))
             + math.sqrt(hh * float(np.sum(np.abs(res_w) ** 2))))
 

@@ -27,7 +27,7 @@ from waveheat.simulator import (
     run,
 )
 from waveheat.spectrum import count_zeros_contour, decay_envelope, polish, seeds
-from waveheat.state import DataTriple, StateVector, heat_nodes, wave_nodes
+from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 from conftest import defining_residual, smooth_triple
 
@@ -227,7 +227,7 @@ def test_criterion_8_structural_suite(rng, neumann_records, neumann_k1_series,
     by_n = {s.n: s for s in seeds(NEU, 40)}
     up = [r for r in neumann_records if r.n in (5, 11, 23, 39)]
     xw, xh = wave_nodes(64), heat_nodes(64)
-    y = DataTriple(f=np.cos(xw), g=np.sin(2 * xw), h=xh * (1 - xh))
+    y = StateVector(u=np.cos(xw), v=np.sin(2 * xw), w=xh * (1 - xh))
     _passed(
         checks.phi_constant_along_flow(series),
         checks.kernel_functional_values(64),

@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from waveheat import checks
 from waveheat.characteristic import (
     BoundaryVariant,
-    ComplexFrequency,
     _char_fn_pair,
     _hat_terms,
     char_fn,
@@ -44,9 +43,9 @@ class TestBranch:
     def test_sqrt_squares_back(self, rng):
         for _ in range(200):
             z = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
-            fq = ComplexFrequency.of(z)
-            assert abs(fq.sqrt_value**2 - z) <= 1e-13 * abs(z)
-            assert fq.sqrt_value.real >= 0
+            r = principal_sqrt(z)
+            assert abs(r**2 - z) <= 1e-13 * abs(z)
+            assert r.real >= 0
 
     def test_cut_side(self):
         # on the negative real axis the root must sit on the upper branch
@@ -59,10 +58,12 @@ class TestBranch:
                   st.builds(complex, st.floats(-1e3, 0.0), st.sampled_from([0.0, -0.0]))),
         min_size=1, max_size=8))
     def test_frequency_root_is_principal_sqrt(self, points):
-        assert all(_bits(ComplexFrequency.of(p).sqrt_value) == _bits(principal_sqrt(p))
-                   for p in points)
+        # the determinant's root r = sqrt(lam), for points and arrays, -0.0 included
         arr = np.array(points)
-        assert _bits(ComplexFrequency.of(arr).sqrt_value) == _bits(principal_sqrt(arr))
+        for variant in (NEU, DIR):
+            assert all(_bits(_hat_terms(p, variant)[0]) == _bits(principal_sqrt(p))
+                       for p in points)
+            assert _bits(_hat_terms(arr, variant)[0]) == _bits(principal_sqrt(arr))
 
     def test_conj_symmetry_off_cut(self, rng):
         for _ in range(100):
@@ -158,7 +159,7 @@ _points = st.lists(
 
 def _terms(point, variant, deriv):
     """The terms the point path sums for D (deriv False) or D'."""
-    r, p, q, cr, sr, _ = _hat_terms(ComplexFrequency.of(point), variant)
+    r, p, q, cr, sr, _ = _hat_terms(point, variant)
     if deriv:
         return (p + q) * cr / (2.0 * r), r * q * cr, 1.5 * p * sr
     return r * p * cr, q * sr

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 from pathlib import Path
@@ -6,16 +7,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import waveheat
 from waveheat import characteristic, checks, resolvent, simulator
 from waveheat.characteristic import BoundaryVariant, ScaledValue
 from waveheat.discretization import GridSpec, assemble
 from waveheat.simulator import EnergySeries
 from waveheat.spectrum import EigenvalueRecord
-from waveheat.state import DataTriple, heat_nodes, wave_nodes
+from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 NEU, DIR = BoundaryVariant.NEUMANN, BoundaryVariant.DIRICHLET
 POINT_ARGS = ([1 + 2j, -3 + 9j, 4.5 + 0.7j],)
-Y = DataTriple(f=np.cos(wave_nodes(32)), g=np.sin(wave_nodes(32)), h=heat_nodes(32) ** 2 - 1)
+Y = StateVector(u=np.cos(wave_nodes(32)), v=np.sin(wave_nodes(32)), w=heat_nodes(32) ** 2 - 1)
 
 
 def _record(n, lam, residual=1e-13):
@@ -112,3 +114,18 @@ def test_tracer_targets_exist(monkeypatch):
     tracing = importlib.import_module("perfbench.tracing")
     for module, cls, attr, _ in tracing.TARGETS:
         assert attr in tracing.resolve(module, cls).__dict__, (module, cls, attr)
+
+
+def test_public_names_resolve():
+    # a stale entry in __all__ would otherwise fail only at `import *`
+    package = Path(waveheat.__file__).parent
+    for path in sorted(package.glob("[!_]*.py")):
+        module = importlib.import_module(f"waveheat.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (path.stem, name)
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = importlib.import_module(f"waveheat.{node.module}")
+            for alias in node.names:
+                assert hasattr(source, alias.name), (node.module, alias.name)
+                assert hasattr(waveheat, alias.asname or alias.name), alias.name

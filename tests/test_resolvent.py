@@ -15,6 +15,7 @@ from waveheat.errors import (
     NoConvergenceError,
     OverflowEvaluationError,
     ResolutionError,
+    VariantError,
 )
 from waveheat.resolvent import (
     _GL_NODES,
@@ -28,7 +29,7 @@ from waveheat.resolvent import (
     snap_to_resonance,
     sweep,
 )
-from waveheat.state import DataTriple, heat_nodes, wave_nodes
+from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 from conftest import (
     U_CONST_S10,
@@ -43,11 +44,11 @@ NEU = BoundaryVariant.NEUMANN
 
 
 def wave_data(f, g):
-    return DataTriple(f=f, g=g, h=np.zeros(17))
+    return StateVector(u=f, v=g, w=np.zeros(17))
 
 
 def heat_data(h):
-    return DataTriple(f=np.zeros(17), g=np.zeros(17), h=h)
+    return StateVector(u=np.zeros(17), v=np.zeros(17), w=h)
 
 
 def resolvent_on(s, y):
@@ -272,7 +273,7 @@ class TestKernelFold:
 
 class TestCoefficients:
     def test_zero_data_gives_zero_constants(self):
-        zero = DataTriple(f=np.zeros(33), g=np.zeros(33), h=np.zeros(33))
+        zero = StateVector(u=np.zeros(33), v=np.zeros(33), w=np.zeros(33))
         sol = resolvent_on(100.0, zero).solve(zero)
         assert sol.a == 0 and sol.b == 0
 
@@ -305,9 +306,26 @@ class TestCoefficients:
             entry(0.5, y)
 
     def test_zero_frequency_rejected(self):
-        y = DataTriple(f=np.zeros(17), g=np.zeros(17), h=np.zeros(17))
+        y = StateVector(u=np.zeros(17), v=np.zeros(17), w=np.zeros(17))
         with pytest.raises(DegenerateInputError):
             resolvent_on(0.0, y).solve(y)
+
+
+class TestData:
+    def test_dirichlet_data_rejected(self):
+        # the closed form solves the Neumann problem only
+        y = smooth_triple(np.random.default_rng(0))(16, 16)
+        y.variant = BoundaryVariant.DIRICHLET
+        with pytest.raises(VariantError):
+            resolvent_on(10.0, y).solve(y)
+        with pytest.raises(VariantError):
+            apply_resolvent(10.0, y)
+
+    def test_two_dimensional_array_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            StateVector(u=np.zeros((2, 17)), v=np.zeros((2, 17)), w=np.zeros(17))
+        with pytest.raises(ValueError, match="1-D"):
+            StateVector(u=np.zeros(17), v=np.zeros(17), w=np.zeros((17, 1)))
 
 
 class TestApplyResolvent:
@@ -333,7 +351,7 @@ class TestApplyResolvent:
     def test_velocity_identity(self, rng):
         y = smooth_triple(rng)(96, 96)
         x = apply_resolvent(10.0, y)
-        assert np.allclose(x.v, 1j * 10.0 * x.u - y.f)
+        assert np.allclose(x.v, 1j * 10.0 * x.u - y.u)
 
     def test_round_trip_against_discrete_operator(self, rng):
         # the closed form must converge to the discrete solve at O(h^2);
@@ -350,7 +368,7 @@ class TestApplyResolvent:
             x = apply_resolvent(s, y)
             gen = assemble(GridSpec(n, n), NEU)
             zx = gen.pack_state(x)
-            rhs = _pack_data(gen, y.f, y.g, y.h)
+            rhs = _pack_data(gen, y.u, y.v, y.w)
             B = (1j * s * sp.identity(gen.dim, format="csc") - gen.A).tocsc()
             res_errs.append(gen.norm(B @ zx - rhs))
             sol_errs.append(gen.norm(spla.spsolve(B, rhs.astype(complex)) - zx))
@@ -521,7 +539,7 @@ class TestNorms:
             rng, rng_18 = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
                 y = cf.random_triple(rng)
-                for got, expected in zip((y.f, y.g, y.h), triple_by_18_calls(rng_18)):
+                for got, expected in zip((y.u, y.v, y.w), triple_by_18_calls(rng_18)):
                     assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("s, error", [
