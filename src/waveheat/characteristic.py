@@ -170,7 +170,12 @@ def _hat_terms(lam: complex | np.ndarray, variant: BoundaryVariant):
     (p, q) = (cosh_hat(lam), sinh_hat(lam)) for Neumann and swapped for
     Dirichlet, and the common scale |Re lam| + |Re r|.
     """
-    z, r = _root(lam)
+    return _upper_terms(_upper_side(lam), variant)
+
+
+def _upper_terms(z: complex | np.ndarray, variant: BoundaryVariant):
+    """``_hat_terms`` at a point or array already put on the upper side of the cut."""
+    r = _sqrt_upper(z)
     cl, sl = _cosh_sinh_hat(z)
     p, q = (cl, sl) if variant is BoundaryVariant.NEUMANN else (sl, cl)
     return r, p, q, *_cosh_sinh_hat(r), abs(z.real) + abs(r.real)
@@ -207,7 +212,7 @@ def _char_fn_pair(
     same points, at the cost of one evaluation; rejects the same points as
     ``char_fn_deriv_scaled``.
     """
-    terms = _hat_terms(_deriv_domain(lam), variant)
+    terms = _upper_terms(_deriv_domain(lam), variant)
     return _det(terms), _deriv(terms)
 
 
@@ -248,7 +253,7 @@ def char_fn_deriv_scaled(lam: complex | np.ndarray, variant: BoundaryVariant) ->
     in the notation of ``_hat_terms``.  Undefined at lam = 0 and on the
     branch cut; an array containing such a point is rejected as a whole.
     """
-    return _deriv(_hat_terms(_deriv_domain(lam), variant))
+    return _deriv(_upper_terms(_deriv_domain(lam), variant))
 
 
 def char_fn_deriv(lam: complex, variant: BoundaryVariant) -> complex:

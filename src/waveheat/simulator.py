@@ -106,74 +106,94 @@ class CrankNicolsonStepper:
     def __init__(self, disc: DiscreteGenerator, dt: float):
         self.disc = disc
         self.dt = dt
-        self._a = a = 0.5 * dt
-        nu = self._n_u = disc.n_u
+        a = 0.5 * dt
+        nu = disc.n_u
         q_sub, q_main, q_sup, p_sub, p_main, p_sup = disc._t_bands
         main, sub, sup = 1.0 - a * q_main, -(a * q_sub), -(a * q_sup)
         main[:nu] -= (a * a) * p_main
         sub[: nu - 1] -= (a * a) * p_sub
         sup[: nu - 1] -= (a * a) * p_sup
-        self._mass = mass = disc.W_E.diagonal()[nu:]
+        mass = disc.W_E.diagonal()[nu:]
         upper, lower = mass[:-1] * sup, mass[1:] * sub
         if not np.allclose(upper, lower, rtol=1e-12, atol=0.0):
             raise SolveFailureError("Schur complement is not symmetric")
-        self._d, self._e, info = dpttrf(mass * main, 0.5 * (upper + lower))
+        d, e, info = dpttrf(mass * main, 0.5 * (upper + lower))
         if info != 0:
             raise SolveFailureError(
                 f"Schur complement is not positive definite (pttrf info {info})")
         # LAPACK band storage with kl = ku = 1: entry (i, j) sits at [1 + i - j, j]
-        self._coupling = np.zeros((3, nu), order="F")  # gbmv reads it uncopied
-        self._coupling[0, 1:] = a * mass[: nu - 1] * p_sup
-        self._coupling[1] = a * mass[:nu] * p_main
-        self._coupling[2, :-1] = a * mass[1:nu] * p_sub
+        coupling = np.zeros((3, nu), order="F")  # gbmv reads it uncopied
+        coupling[0, 1:] = a * mass[: nu - 1] * p_sup
+        coupling[1] = a * mass[:nu] * p_main
+        coupling[2, :-1] = a * mass[1:nu] * p_sub
+        # everything advance reads, fetched there as one tuple
+        self._factors = (nu, disc.dim, a, mass, coupling, d, e)
 
     def advance(self, z: np.ndarray, mid: np.ndarray) -> None:
         """One step in place: z becomes z+ and mid the midpoint (z + z+)/2.
 
         ``z`` and ``mid`` are contiguous float64 vectors of length dim;
-        BLAS and LAPACK write into them directly.
+        BLAS and LAPACK write into them directly.  Every wrapper argument is
+        passed by position, which spares f2py its keyword parsing.
         """
-        nu = self._n_u
+        nu, dim, a, mass, coupling, d, e = self._factors
         m_q = mid[nu:]
-        np.multiply(self._mass, z[nu:], out=m_q)  # M z_q
-        # + a M A_qu z_u, which touches only the v rows
-        dgbmv(nu, nu, 1, 1, 1.0, self._coupling, z, beta=1.0, y=m_q, overwrite_y=1)
-        dpttrs(self._d, self._e, m_q, overwrite_b=1)  # m_q
-        dcopy(z, mid, n=nu)
-        daxpy(m_q, mid, n=nu, a=self._a)  # m_u = z_u + a m_v
-        dscal(-1.0, z)
-        daxpy(mid, z, a=2.0)  # z+ = 2 m - z
+        np.multiply(mass, z[nu:], out=m_q)  # M z_q
+        # + a M A_qu z_u, which touches only the v rows.  Slots: m, n, kl, ku,
+        # alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y
+        dgbmv(nu, nu, 1, 1, 1.0, coupling, z, 1, 0, 1.0, m_q, 1, 0, 0, 1)
+        dpttrs(d, e, m_q, 1)  # m_q; slots d, e, b, overwrite_b
+        dcopy(z, mid, nu)  # slots x, y, n
+        daxpy(m_q, mid, nu, a)  # m_u = z_u + a m_v; slots x, y, n, a
+        dscal(-1.0, z)  # slots a, x
+        daxpy(mid, z, dim, 2.0)  # z+ = 2 m - z
 
 
 class _HeatDissipation:
     """dt times the dissipation form summed over a block of midpoints.
 
     W_diss is nonzero only from the interface slot 2 n_u - 1 on, so the
-    form is applied to that heat slice of each midpoint alone.  The slice
+    form is applied to that heat slice m of each midpoint alone.  The slice
     starts at the first row that holds a nonzero; a nonzero in an earlier
-    column raises SolveFailureError.  Each block's slice is copied into
-    columns of preallocated scratch, where the sparse product is several
-    times faster, and the sum is one numpy reduction, whose result does not
-    depend on the BLAS thread count.  The call is also the finiteness check
-    of the trajectory: a non-finite midpoint makes the sum non-finite, and
-    the state z is checked in full.
+    column raises SolveFailureError.  On the slice the form is c D^T D,
+    with (D m)[i] = m[i+1] - m[i] and the eliminated end node taken as 0,
+    which is checked exactly at construction (SolveFailureError otherwise).
+    So each block is summed as c times its squared jumps, all nonnegative
+    terms, by numpy reductions, whose result does not depend on the BLAS
+    thread count.  The call is also the finiteness check of the
+    trajectory: a non-finite midpoint makes the sum non-finite, and the
+    state z is checked in full.
     """
 
-    def __init__(self, disc: DiscreteGenerator, rows: int):
+    def __init__(self, disc: DiscreteGenerator):
         form = disc.W_diss
         nz_rows, nz_cols = form.nonzero()
         self._lo = lo = int(nz_rows.min(initial=disc.dim))
         if np.any(nz_cols < lo):
             raise SolveFailureError(
                 f"dissipation form reaches columns before its heat slice at slot {lo}")
-        self._form = form[lo:, lo:]
-        self._cols = np.empty(rows * (disc.dim - lo))
+        heat = form[lo:, lo:]
+        width = heat.shape[0]
+        self._c = c = float(-heat[0, 1]) if width > 1 else 0.0
+        # c D^T D holds c (1, 2, ..., 2) on the diagonal and -c beside it.  For
+        # c > 0 these 3 width - 2 entries are nonzero, so a block that matches
+        # them and stores no more entries than that stores nothing elsewhere.
+        main = np.full(width, 2.0 * c)
+        main[:1] = c
+        off = np.full(max(width - 1, 0), -c)
+        if not (c > 0 and heat.nnz == 3 * width - 2
+                and np.array_equal(heat.diagonal(), main)
+                and np.array_equal(heat.diagonal(1), off)
+                and np.array_equal(heat.diagonal(-1), off)):
+            raise SolveFailureError(
+                "dissipation form on its heat slice is not c D^T D of the heat jumps, c > 0")
 
     def __call__(self, mids: np.ndarray, z: np.ndarray, dt: float) -> float:
         heat = mids[:, self._lo :]
-        block = self._cols[: heat.size].reshape(heat.shape[::-1])
-        np.copyto(block, heat.T)
-        total = dt * float(np.einsum("ij,ij->", block, self._form @ block))
+        jumps = heat[:, 1:] - heat[:, :-1]
+        end = heat[:, -1]  # the jump to the eliminated end node
+        squares = np.einsum("ij,ij->", jumps, jumps) + np.einsum("i,i->", end, end)
+        total = dt * self._c * float(squares)
         if not (math.isfinite(total) and np.all(np.isfinite(z))):
             raise SolveFailureError("non-finite state after implicit solve")
         return total
@@ -199,7 +219,7 @@ def run(x0: StateVector, config: SimulationConfig) -> EnergySeries:
     n_steps = int(round(config.t_max / config.dt))
     stride = config.output_stride
     mids = np.empty((min(stride, BLOCK_STEPS), disc.dim))
-    dissipation_of = _HeatDissipation(disc, len(mids))
+    dissipation_of = _HeatDissipation(disc)
 
     times = [0.0]
     energies = [disc.energy(z)]

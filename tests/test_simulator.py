@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import scipy.linalg
+from scipy.linalg.blas import daxpy, dcopy, dgbmv, dscal
+from scipy.linalg.lapack import dpttrs
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -96,19 +98,45 @@ class TestStep:
 class TestStepper:
     @pytest.mark.parametrize("variant", [NEU, DIR])
     @pytest.mark.parametrize("n", [16, 64])
-    @pytest.mark.parametrize("dtype", [float])
-    def test_matches_textbook_step(self, variant, n, dtype):
+    def test_matches_textbook_step(self, variant, n):
         # (I - dt A/2) z+ = (I + dt A/2) z, solved directly on the full system
         disc = assemble(GridSpec(n, n), variant)
         dt = 0.5 / n
         rng = np.random.default_rng(n)
-        z = rng.standard_normal(disc.dim).astype(dtype)
+        z = rng.standard_normal(disc.dim)
         eye = sp.identity(disc.dim, format="csc")
         ref = spla.spsolve((eye - 0.5 * dt * disc.A).tocsc(), (eye + 0.5 * dt * disc.A) @ z)
         z_new, mid = z.copy(), np.empty_like(z)
         CrankNicolsonStepper(disc, dt).advance(z_new, mid)
         assert np.linalg.norm(z_new - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.max(np.abs(mid - 0.5 * (z + z_new))) <= 1e-14 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_bitwise_equal_to_keyword_calls(self, variant):
+        # the step as first written, every wrapper argument by keyword; the
+        # positional calls of advance must leave the same bits after each step
+        disc = assemble(GRID, variant)
+        stepper = CrankNicolsonStepper(disc, GRID.h_wave / 4.0)
+        nu, _, a, mass, coupling, d, e = stepper._factors
+
+        def keyword_step(z, mid):
+            m_q = mid[nu:]
+            np.multiply(mass, z[nu:], out=m_q)
+            dgbmv(nu, nu, 1, 1, 1.0, coupling, z, beta=1.0, y=m_q, overwrite_y=1)
+            dpttrs(d, e, m_q, overwrite_b=1)
+            dcopy(z, mid, n=nu)
+            daxpy(m_q, mid, n=nu, a=a)
+            dscal(-1.0, z)
+            daxpy(mid, z, a=2.0)
+
+        z = np.random.default_rng(7).standard_normal(disc.dim)
+        mid = np.empty_like(z)
+        z_ref, mid_ref = z.copy(), np.empty_like(z)
+        for _ in range(100):
+            stepper.advance(z, mid)
+            keyword_step(z_ref, mid_ref)
+            assert z.tobytes() == z_ref.tobytes()
+            assert mid.tobytes() == mid_ref.tobytes()
 
     @pytest.mark.parametrize("breakage", [
         "u_rows_scaled", "u_feedback", "far_coupling", "asymmetric",
@@ -144,14 +172,13 @@ class TestStepper:
 
 class TestHeatDissipation:
     @pytest.mark.parametrize("variant", [NEU, DIR])
-    @pytest.mark.parametrize("dtype", [float])
     @pytest.mark.parametrize("rows", [1, 23, 64])
-    def test_matches_form_on_full_block(self, variant, dtype, rows):
+    def test_matches_form_on_full_block(self, variant, rows):
         disc = assemble(GridSpec(48, 40), variant)
         rng = np.random.default_rng(rows)
-        mids = rng.standard_normal((rows, disc.dim)).astype(dtype)
+        mids = rng.standard_normal((rows, disc.dim))
         dt = 0.01
-        got = _HeatDissipation(disc, 64)(mids, mids[-1].copy(), dt)
+        got = _HeatDissipation(disc)(mids, mids[-1].copy(), dt)
         block = mids.T.copy()
         ref = dt * float(np.vdot(block, disc.W_diss @ block))
         # the same products, summed in another order
@@ -163,14 +190,56 @@ class TestHeatDissipation:
         mids, z = np.zeros((8, disc.dim)), np.zeros(disc.dim)
         z[disc.n_u // 2] = np.nan  # outside the heat slice
         with pytest.raises(SolveFailureError):
-            _HeatDissipation(disc, 8)(mids, z, 0.01)
+            _HeatDissipation(disc)(mids, z, 0.01)
 
     def test_rejects_form_outside_the_heat_slice(self):
         disc = assemble(GRID, NEU)
         W = disc.W_diss.tolil()
         W[disc.dim - 1, 0] = 1.0
         with pytest.raises(SolveFailureError):
-            _HeatDissipation(dataclasses.replace(disc, W_diss=W.tocsr()), 8)
+            _HeatDissipation(dataclasses.replace(disc, W_diss=W.tocsr()))
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @pytest.mark.parametrize("breakage", [
+        "main_scaled", "one_main_entry", "one_sided_coupling", "beyond_the_band",
+        "natural_end"])
+    def test_rejects_form_other_than_heat_jumps(self, variant, breakage):
+        # the sum of squared jumps holds only for c D^T D on the heat slice
+        disc = assemble(GRID, variant)
+        W = disc.W_diss.tolil()
+        lo, end = 2 * disc.n_u - 1, disc.dim - 1
+        if breakage == "main_scaled":
+            W.setdiag(1.5 * disc.W_diss.diagonal())
+        elif breakage == "one_main_entry":
+            W[lo + 5, lo + 5] *= 1.0 + 2.0**-52
+        elif breakage == "one_sided_coupling":
+            W[lo + 5, lo + 6] *= 2.0
+        elif breakage == "beyond_the_band":
+            W[lo + 5, lo + 7] = W[lo + 7, lo + 5] = -1.0
+        else:  # the end node kept with a natural condition instead of eliminated
+            W[end, end] *= 0.5
+        with pytest.raises(SolveFailureError, match="heat jumps"):
+            _HeatDissipation(dataclasses.replace(disc, W_diss=W.tocsr()))
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_matches_form_along_a_run(self, monkeypatch, variant):
+        advance = CrankNicolsonStepper.advance
+        mids = []
+
+        def recording(self, z, mid):
+            advance(self, z, mid)
+            mids.append(mid.copy())
+
+        monkeypatch.setattr(CrankNicolsonStepper, "advance", recording)
+        cfg = config(variant=variant, t_max=10.0, stride=8)
+        series = run(make_domain_data("smooth_bump", GRID, variant).state, cfg)
+        block = np.array(mids).T
+        # the full form on each midpoint, summed per output interval of 8 steps
+        quad = np.einsum("ij,ij->j", block, assemble(GRID, variant).W_diss @ block)
+        expected = cfg.dt * quad.reshape(-1, 8).sum(axis=1)
+        assert len(mids) == 8 * (len(series.times) - 1)
+        assert series.dissipation[0] == 0.0
+        np.testing.assert_allclose(series.dissipation[1:], expected, rtol=1e-14, atol=0.0)
 
 
 class TestFaultInjection:
