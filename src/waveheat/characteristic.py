@@ -286,11 +286,12 @@ def relative_residual(lam: complex, variant: BoundaryVariant) -> float:
     its module name, not ``_det`` directly, so that a wrapped binding of
     ``char_fn_scaled`` sees every residual evaluation.
     """
-    z, r = _root(lam)
-    sv = char_fn_scaled(z, variant)
+    lam = complex(lam)
+    sv = char_fn_scaled(lam, variant)  # puts lam on the upper side of the cut
     if sv.mantissa == 0:
         return 0.0
-    return math.exp(sv.abs_log() - (abs(z.real) + r.real))
+    # the real part of the principal root is the same on both sides of the cut
+    return math.exp(sv.abs_log() - (abs(lam.real) + cmath.sqrt(lam).real))
 
 
 _F_POLE_PERIOD = math.pi  # poles of coth at n*pi*i

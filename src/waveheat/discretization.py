@@ -73,23 +73,68 @@ def _trapz_weights(n: int, h: float) -> np.ndarray:
 
 @dataclass
 class DiscreteGenerator:
-    """Sparse generator with the Gram matrices of its natural geometry.
+    """The generator held as its bands, with the Gram matrices of its natural geometry.
 
-    ``W`` induces the full state norm, ``W_E`` the energy seminorm (twice
-    the energy), and ``W_diss`` the heat-gradient dissipation form; all are
-    real symmetric and ``W`` is positive definite.
+    The rows of u read u' = v and are not stored.  The rows of q = (v, w)
+    are the bands (sub, main, sup) of A_qq, ``q_*``, and of A_qu in the v
+    rows, ``p_*``; A_qu is zero in the w rows.  ``K_w`` and ``K_h`` hold
+    the (sub, main, sup) rows of the wave and heat stiffness, ``mass_w``
+    the wave trapezoid weights and ``mass_q`` the lumped mass of q.
+
+    ``A`` and the CSR Gram matrices are derived on first use: ``W`` induces
+    the full state norm, ``W_E`` the energy seminorm (twice the energy),
+    and ``W_diss`` the heat-gradient dissipation form; all are real
+    symmetric and ``W`` is positive definite.
     """
 
-    A: sp.csr_matrix
-    W: sp.csr_matrix
-    W_E: sp.csr_matrix
-    W_diss: sp.csr_matrix
+    q_sub: np.ndarray
+    q_main: np.ndarray
+    q_sup: np.ndarray
+    p_sub: np.ndarray
+    p_main: np.ndarray
+    p_sup: np.ndarray
+    K_w: np.ndarray
+    mass_w: np.ndarray
+    K_h: np.ndarray
+    mass_q: np.ndarray
     grid: GridSpec
     variant: BoundaryVariant
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.n_u + len(self.mass_q)
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        nu = self.n_u
+        rows = np.zeros((self.dim, 7))
+        rows[:nu, 6] = 1.0  # u' = v
+        rows[nu + 1 : 2 * nu, 0], rows[nu : 2 * nu, 1] = self.p_sub, self.p_main
+        rows[nu : 2 * nu - 1, 2] = self.p_sup
+        rows[nu + 1 :, 3], rows[nu:, 4], rows[nu:-1, 5] = self.q_sub, self.q_main, self.q_sup
+        return _csr_from_diagonals(rows, (-nu - 1, -nu, 1 - nu, -1, 0, 1, nu))
+
+    @cached_property
+    def W(self) -> sp.csr_matrix:
+        return self._gram(self.K_w[:, 1] + self.mass_w)
+
+    @cached_property
+    def W_E(self) -> sp.csr_matrix:
+        return self._gram(self.K_w[:, 1])
+
+    def _gram(self, u_main: np.ndarray) -> sp.csr_matrix:
+        """diag(K_w with main diagonal ``u_main``, diag(mass_q))."""
+        rows = np.zeros((self.dim, 3))
+        rows[: self.n_u] = self.K_w
+        rows[: self.n_u, 1] = u_main
+        rows[self.n_u :, 1] = self.mass_q
+        return _csr_from_diagonals(rows, (-1, 0, 1))
+
+    @cached_property
+    def W_diss(self) -> sp.csr_matrix:
+        rows = np.zeros((self.dim, 3))
+        rows[2 * self.n_u - 1 :] = self.K_h  # from the interface slot on
+        return _csr_from_diagonals(rows, (-1, 0, 1))
 
     @property
     def n_u(self) -> int:
@@ -135,15 +180,10 @@ class DiscreteGenerator:
         W is the tridiagonal u block K_w + diag(mass_w), factored once by
         LAPACK pttrf, next to the diagonal q-block mass.
         """
-        nu, W = self.n_u, self.W
-        main, upper = W.diagonal(), W.diagonal(1)
-        if (np.count_nonzero(main) + 2 * np.count_nonzero(upper[: nu - 1])
-                != W.count_nonzero()):
-            raise SolveFailureError("Gram matrix is not tridiagonal in u and diagonal in q")
-        d, e, info = dpttrf(main[:nu], upper[: nu - 1])
+        nu, mass_q = self.n_u, self.mass_q
+        d, e, info = dpttrf(self.K_w[:, 1] + self.mass_w, self.K_w[:-1, 2])
         if info != 0:
             raise SolveFailureError(f"Gram matrix is not positive definite (pttrf info {info})")
-        mass_q = main[nu:]
 
         def solve(x: np.ndarray) -> np.ndarray:
             out = np.empty(len(x), dtype=complex)
@@ -155,27 +195,6 @@ class DiscreteGenerator:
 
         return solve
 
-    @cached_property
-    def _t_bands(self) -> tuple[np.ndarray, ...]:
-        """Bands of A_qq, and of A_qu in the v rows, that T(sigma) is built from.
-
-        Shared by ``_factor_t``, ``ShiftedSolve`` and the Crank-Nicolson stepper.
-        Raises SolveFailureError unless the rows of u hold n_u nonzeros, all
-        ones at (i, n_u + i), and the rows of v and w are tridiagonal in q and u.
-        """
-        A, nu = self.A, self.n_u
-        if not (np.all(A.diagonal(nu)[:nu] == 1.0)
-                and np.count_nonzero(A.data[: A.indptr[nu]]) == nu):
-            raise SolveFailureError("generator rows of u do not read u' = v")
-        q_sub, q_main, q_sup = (A.diagonal(k)[nu:] for k in (-1, 0, 1))
-        p_sub, p_main, p_sup = (A.diagonal(-nu - 1)[: nu - 1], A.diagonal(-nu)[:nu],
-                                A.diagonal(1 - nu)[1:nu])
-        bands = q_sub, q_main, q_sup, p_sub, p_main, p_sup
-        if (sum(map(np.count_nonzero, bands))
-                != np.count_nonzero(A.data[A.indptr[nu]:])):  # all stored q-row values
-            raise SolveFailureError("generator rows of v and w are not tridiagonal")
-        return bands
-
     def _factor_t(self, sigma: complex, guard: bool):
         """LAPACK gttrf factors (dl, d, du, du2, ipiv) of T(sigma) and gttrf's info.
 
@@ -183,15 +202,14 @@ class DiscreteGenerator:
         SolveFailureError: gttrf meets an exactly zero pivot, or the smallest
         pivot is at most n eps times the largest entry of T (n = dim T).
         """
-        q_sub, q_main, q_sup, p_sub, p_main, p_sup = self._t_bands
         nu = self.n_u
-        scale = np.ones(len(q_main), dtype=complex)  # the diagonal of D
+        scale = np.ones(len(self.q_main), dtype=complex)  # the diagonal of D
         scale[:nu] = sigma
-        main = (sigma - q_main) * scale
-        main[:nu] -= p_main
-        sub, sup = -q_sub * scale[:-1], -q_sup * scale[1:]
-        sub[: nu - 1] -= p_sub
-        sup[: nu - 1] -= p_sup
+        main = (sigma - self.q_main) * scale
+        main[:nu] -= self.p_main
+        sub, sup = -self.q_sub * scale[:-1], -self.q_sup * scale[1:]
+        sub[: nu - 1] -= self.p_sub
+        sup[: nu - 1] -= self.p_sup
         dl, d, du, du2, ipiv, info = zgttrf(sub, main, sup)
         if guard:
             largest = max(np.abs(sub).max(), np.abs(main).max(), np.abs(sup).max())
@@ -311,10 +329,10 @@ class ShiftedSolve:
         T = (sigma I - A_qq) D - (A_qu, 0),   D = diag(sigma I_u, I_w),
 
     tridiagonal because A_qq is, and A_qu is tridiagonal in the v rows and
-    zero in the w rows.  The diagonals of T are read off those of A for
-    every complex sigma, 0 included; T is factored by LAPACK gttrf (LU with
-    partial pivoting) and ``solve`` and ``solve_adjoint`` apply
-    (sigma I - A_h)^-1 and its conjugate transpose with gttrs.
+    zero in the w rows.  The diagonals of T are built from the generator's
+    bands for every complex sigma, 0 included; T is factored by LAPACK
+    gttrf (LU with partial pivoting) and ``solve`` and ``solve_adjoint``
+    apply (sigma I - A_h)^-1 and its conjugate transpose with gttrs.
 
     The shift is singular, and SolveFailureError is raised, when gttrf
     meets an exactly zero pivot or when the smallest pivot is at most
@@ -325,11 +343,10 @@ class ShiftedSolve:
     def __init__(self, disc: DiscreteGenerator, sigma: complex):
         self._n_u, self.sigma = disc.n_u, complex(sigma)
         self._lu, _ = disc._factor_t(self.sigma, guard=True)
-        q_sub, q_main, q_sup = disc._t_bands[:3]
         nu = self._n_u
         # (sigma I - A_qq) (y_u, 0) reads these bands and reaches row n_u
-        self._lift = self.sigma - q_main[:nu]
-        self._q_sub, self._q_sup = q_sub[:nu], q_sup[: nu - 1]
+        self._lift = self.sigma - disc.q_main[:nu]
+        self._q_sub, self._q_sup = disc.q_sub[:nu], disc.q_sup[: nu - 1]
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """x = (sigma I - A_h)^-1 y."""
@@ -400,7 +417,7 @@ def _stiffness_rows(main: np.ndarray, h: float) -> np.ndarray:
 
 
 def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
-    """Assemble the discrete generator and its Gram matrices from their bands.
+    """Assemble the discrete generator as its bands.
 
     K_w is the lumped piecewise-linear wave stiffness, natural at both ends
     (Dirichlet drops the node at xi = -1), K_h the heat stiffness on dofs
@@ -412,8 +429,8 @@ def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
         A = [[0, (I, 0)], [-M^-1 (K_w; 0), -M^-1 K_h]],   W_diss = diag(0, K_h),
         W = diag(K_w + diag(mass_w), M),   W_E = diag(K_w, M).
 
-    Every stored entry is one product of a band value with -1/mass_q, or
-    one band value, or K_w's diagonal plus mass_w.
+    Every band value of A_qu and A_qq is one product of a stiffness value
+    with -1/mass_q.
     """
     n_w, n_h = grid.n_wave, grid.n_heat
     hw, hh = grid.h_wave, grid.h_heat
@@ -430,25 +447,14 @@ def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
     mass_q = np.concatenate([mass_w, np.full(n_h - 1, hh)])
     mass_q[nu - 1] += hh / 2.0
     neg_inv = -(1.0 / mass_q)
-    dim = 2 * nu + n_h - 1
-    iface = 2 * nu - 1  # the row and column of q's interface slot
-
-    a_rows = np.zeros((dim, 7))
-    a_rows[:nu, 6] = 1.0
-    a_rows[nu : 2 * nu, :3] = neg_inv[:nu, None] * K_w
-    a_rows[iface:, 3:6] = neg_inv[nu - 1 :, None] * K_h
-    A = _csr_from_diagonals(a_rows, (-nu - 1, -nu, 1 - nu, -1, 0, 1, nu))
-
-    gram = np.zeros((dim, 3))
-    gram[:nu] = K_w
-    gram[nu:, 1] = mass_q
-    W_E = _csr_from_diagonals(gram, (-1, 0, 1))
-    gram[:nu, 1] += mass_w
-    W = _csr_from_diagonals(gram, (-1, 0, 1))
-    diss = np.zeros((dim, 3))
-    diss[iface:] = K_h
-    W_diss = _csr_from_diagonals(diss, (-1, 0, 1))
-    return DiscreteGenerator(A=A, W=W, W_E=W_E, W_diss=W_diss, grid=grid, variant=variant)
+    p = neg_inv[:nu, None] * K_w  # A_qu in the v rows
+    q = np.zeros((len(mass_q), 3))  # A_qq, -M^-1 K_h from the interface slot on
+    q[nu - 1 :] = neg_inv[nu - 1 :, None] * K_h
+    # the product with K_h's zero sub corner is -0.0; + 0.0 gives the +0.0
+    # that A's CSR form, which stores no zeros, reads back at that slot
+    q += 0.0
+    return DiscreteGenerator(q[1:, 0], q[:, 1], q[:-1, 2], p[1:, 0], p[:, 1], p[:-1, 2],
+                             K_w, mass_w, K_h, mass_q, grid, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
     shifted = ShiftedSolve(disc, 1j * s)
     w_solve = disc.gram_solver()
     gram_inv = spla.LinearOperator(
-        disc.A.shape,
+        (disc.dim, disc.dim),
         matvec=lambda x: shifted.solve(w_solve(shifted.solve_adjoint(x))),
         dtype=complex,
     )

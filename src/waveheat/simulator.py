@@ -95,11 +95,12 @@ class CrankNicolsonStepper:
 
         M (I - a A_qq - a^2 A_qu A_uq) m_q = M z_q + a M A_qu z_u
 
-    in the velocity/temperature block q, with M the q-block diagonal of
-    W_E.  The bracket is a T(1/a) D^-1 in ``ShiftedSolve``'s notation and
-    is built from the same bands of A.  The system is factored once (LAPACK
-    pttrf); the coupling a M A_qu is zero in the w rows and tridiagonal in
-    the v rows, and is kept in LAPACK band storage for one gbmv product per step.
+    in the velocity/temperature block q, with M = diag(mass_q) the lumped
+    mass.  The bracket is a T(1/a) D^-1 in ``ShiftedSolve``'s notation and
+    is built from the generator's bands, as T is.  The system is factored
+    once (LAPACK pttrf); the coupling a M A_qu is zero in the w rows and
+    tridiagonal in the v rows, and is kept in LAPACK band storage for one
+    gbmv product per step.
     A is real, and only real states are stepped: ``run`` refuses complex data.
     """
 
@@ -108,12 +109,12 @@ class CrankNicolsonStepper:
         self.dt = dt
         a = 0.5 * dt
         nu = disc.n_u
-        q_sub, q_main, q_sup, p_sub, p_main, p_sup = disc._t_bands
-        main, sub, sup = 1.0 - a * q_main, -(a * q_sub), -(a * q_sup)
+        p_sub, p_main, p_sup = disc.p_sub, disc.p_main, disc.p_sup
+        main, sub, sup = 1.0 - a * disc.q_main, -(a * disc.q_sub), -(a * disc.q_sup)
         main[:nu] -= (a * a) * p_main
         sub[: nu - 1] -= (a * a) * p_sub
         sup[: nu - 1] -= (a * a) * p_sup
-        mass = disc.W_E.diagonal()[nu:]
+        mass = disc.mass_q
         upper, lower = mass[:-1] * sup, mass[1:] * sub
         if not np.allclose(upper, lower, rtol=1e-12, atol=0.0):
             raise SolveFailureError("Schur complement is not symmetric")
@@ -152,39 +153,27 @@ class CrankNicolsonStepper:
 class _HeatDissipation:
     """dt times the dissipation form summed over a block of midpoints.
 
-    W_diss is nonzero only from the interface slot 2 n_u - 1 on, so the
-    form is applied to that heat slice m of each midpoint alone.  The slice
-    starts at the first row that holds a nonzero; a nonzero in an earlier
-    column raises SolveFailureError.  On the slice the form is c D^T D,
-    with (D m)[i] = m[i+1] - m[i] and the eliminated end node taken as 0,
-    which is checked exactly at construction (SolveFailureError otherwise).
-    So each block is summed as c times its squared jumps, all nonnegative
-    terms, by numpy reductions, whose result does not depend on the BLAS
-    thread count.  The call is also the finiteness check of the
-    trajectory: a non-finite midpoint makes the sum non-finite, and the
-    state z is checked in full.
+    W_diss is the heat stiffness K_h from the interface slot 2 n_u - 1 on
+    and zero elsewhere, so the form is applied to that heat slice m of each
+    midpoint alone.  On the slice the form is c D^T D, with
+    (D m)[i] = m[i+1] - m[i], the eliminated end node taken as 0, and
+    c > 0, which is checked exactly on K_h's bands at construction
+    (SolveFailureError otherwise).  So each block is summed as c times its
+    squared jumps, all nonnegative terms, by numpy reductions, whose result
+    does not depend on the BLAS thread count.  The call is also the
+    finiteness check of the trajectory: a non-finite midpoint makes the sum
+    non-finite, and the state z is checked in full.
     """
 
     def __init__(self, disc: DiscreteGenerator):
-        form = disc.W_diss
-        nz_rows, nz_cols = form.nonzero()
-        self._lo = lo = int(nz_rows.min(initial=disc.dim))
-        if np.any(nz_cols < lo):
-            raise SolveFailureError(
-                f"dissipation form reaches columns before its heat slice at slot {lo}")
-        heat = form[lo:, lo:]
-        width = heat.shape[0]
-        self._c = c = float(-heat[0, 1]) if width > 1 else 0.0
-        # c D^T D holds c (1, 2, ..., 2) on the diagonal and -c beside it.  For
-        # c > 0 these 3 width - 2 entries are nonzero, so a block that matches
-        # them and stores no more entries than that stores nothing elsewhere.
-        main = np.full(width, 2.0 * c)
-        main[:1] = c
-        off = np.full(max(width - 1, 0), -c)
-        if not (c > 0 and heat.nnz == 3 * width - 2
-                and np.array_equal(heat.diagonal(), main)
-                and np.array_equal(heat.diagonal(1), off)
-                and np.array_equal(heat.diagonal(-1), off)):
+        self._lo = 2 * disc.n_u - 1
+        K_h = disc.K_h
+        self._c = c = float(-K_h[0, 2])
+        # c D^T D holds c (1, 2, ..., 2) on the diagonal and -c beside it
+        main = np.full(len(K_h), 2.0 * c)
+        main[0] = c
+        if not (c > 0 and np.array_equal(K_h[:, 1], main)
+                and np.all(K_h[1:, 0] == -c) and np.all(K_h[:-1, 2] == -c)):
             raise SolveFailureError(
                 "dissipation form on its heat slice is not c D^T D of the heat jumps, c > 0")
 

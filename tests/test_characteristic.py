@@ -11,6 +11,7 @@ from waveheat.characteristic import (
     BoundaryVariant,
     _char_fn_pair,
     _hat_terms,
+    _root,
     char_fn,
     char_fn_deriv,
     char_fn_deriv_scaled,
@@ -19,6 +20,7 @@ from waveheat.characteristic import (
     fg_split,
     newton_ratio,
     principal_sqrt,
+    relative_residual,
 )
 from waveheat.errors import (
     DegenerateInputError,
@@ -26,7 +28,7 @@ from waveheat.errors import (
     OverflowEvaluationError,
     PoleError,
 )
-from waveheat.spectrum import seeds
+from waveheat.spectrum import polish, seeds
 
 from conftest import DN_AT_1, DN_AT_5_7J, COTH_1, TANH_1, mp_charfn
 
@@ -232,6 +234,25 @@ class TestJointEvaluation:
         for bad in (0j, -2.0 + 0j):
             with pytest.raises(DegenerateInputError):
                 newton_ratio(np.array([1 + 5j, bad]), variant)
+
+
+class TestRelativeResidual:
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_bitwise_equal_to_form_with_two_upper_side_calls(self, variant):
+        def two_calls(lam):  # _root and char_fn_scaled each put lam on the upper side
+            z, r = _root(lam)
+            sv = char_fn_scaled(z, variant)
+            if sv.mantissa == 0:
+                return 0.0
+            return math.exp(sv.abs_log() - (abs(z.real) + r.real))
+
+        # the roots of the benchmark census, every second n from 5 to 199
+        roots = [polish(s, variant).lam for s in seeds(variant, 199) if s.n in range(5, 200, 2)]
+        cut = [complex(x, y) for x in (-0.0, -0.5, -1.0, -7.25, -1e3) for y in (0.0, -0.0)]
+        points = [*roots, *cut, 0j, complex(0.0, -0.0), 2.5 - 0.0j]
+        assert len(roots) == 98
+        for lam in points:
+            assert _bits(relative_residual(lam, variant)) == _bits(two_calls(lam)), lam
 
 
 class TestDerivative:

@@ -15,12 +15,16 @@ from waveheat.discretization import (
     make_domain_data,
 )
 from waveheat.errors import InfeasibleProfileError, SolveFailureError
+from waveheat.simulator import CrankNicolsonStepper
 from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 from conftest import NEUMANN_ROOTS
 
 NEU = BoundaryVariant.NEUMANN
 DIR = BoundaryVariant.DIRICHLET
+
+# the bands of A_qq and of A_qu in the v rows, as DiscreteGenerator holds them
+_A_BANDS = ("q_sub", "q_main", "q_sup", "p_sub", "p_main", "p_sup")
 
 
 class TestGridSpec:
@@ -189,6 +193,47 @@ class TestBandAssembly:
             assert np.array_equal(got.indices, ref.indices), name
             assert got.data.tobytes() == ref.data.tobytes(), name
 
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from([NEU, DIR]), n_wave=st.integers(8, 300),
+           n_heat=st.integers(8, 300))
+    @example(variant=NEU, n_wave=8, n_heat=8)
+    def test_bands_equal_diagonals_of_derived_matrices(self, variant, n_wave, n_heat):
+        # the CSR read-back the generator's bands replace, kept as a reference;
+        # bytes, so that a -0.0 band value differs from an unstored entry
+        gen = assemble(GridSpec(n_wave, n_heat), variant)
+        nu, iface = gen.n_u, 2 * gen.n_u - 1
+        A, W, W_E, W_diss = gen.A, gen.W, gen.W_E, gen.W_diss
+        pairs = {
+            "q_sub": A.diagonal(-1)[nu:], "q_main": A.diagonal()[nu:],
+            "q_sup": A.diagonal(1)[nu:], "p_sub": A.diagonal(-nu - 1)[: nu - 1],
+            "p_main": A.diagonal(-nu)[:nu], "p_sup": A.diagonal(1 - nu)[1:nu],
+        }
+        for name, diagonal in pairs.items():
+            assert getattr(gen, name).tobytes() == diagonal.tobytes(), name
+        assert np.all(A.diagonal(nu)[:nu] == 1.0)  # u' = v
+        assert A.nnz == nu + sum(np.count_nonzero(getattr(gen, name)) for name in _A_BANDS)
+        for form, main in ((W_E, gen.K_w[:, 1]), (W, gen.K_w[:, 1] + gen.mass_w)):
+            assert form.diagonal()[:nu].tobytes() == main.tobytes()
+            assert form.diagonal()[nu:].tobytes() == gen.mass_q.tobytes()
+            assert form.diagonal(-1)[: nu - 1].tobytes() == gen.K_w[1:, 0].tobytes()
+            assert form.diagonal(1)[: nu - 1].tobytes() == gen.K_w[:-1, 2].tobytes()
+            assert form.nnz == 3 * nu - 2 + len(gen.mass_q)
+        for k, band in ((-1, gen.K_h[1:, 0]), (0, gen.K_h[:, 1]), (1, gen.K_h[:-1, 2])):
+            assert W_diss.diagonal(k)[iface:].tobytes() == band.tobytes()
+        assert W_diss.nnz == 3 * len(gen.K_h) - 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(variant=st.sampled_from([NEU, DIR]), n_wave=st.integers(8, 300),
+           n_heat=st.integers(8, 300))
+    def test_solvers_leave_a_unformed(self, variant, n_wave, n_heat):
+        gen = assemble(GridSpec(n_wave, n_heat), variant)
+        CrankNicolsonStepper(gen, gen.grid.h_wave / 4.0)
+        ShiftedSolve(gen, 3.0 + 20j).solve(np.ones(gen.dim))
+        gen.char_det(3.0 + 20j)
+        gen.char_det(np.array([1j, 2.0 - 5j]))
+        gen.gram_solver()(np.ones(gen.dim))
+        assert "A" not in gen.__dict__
+
 
 def _backward_error(B, x, y) -> float:
     """|B x - y| relative to |B| |x| + |y|, in the max norm."""
@@ -196,22 +241,16 @@ def _backward_error(B, x, y) -> float:
     return float(np.abs(B @ x - y).max() / scale)
 
 
-def _band_noise(gen, rng) -> sp.csr_matrix:
-    """Random entries on every band of A_qq, and of A_qu in the v rows.
+def _band_noise(gen, rng, noise):
+    """``gen`` with random values added to every band of A_qq, and of A_qu in the v rows.
 
     The assembled generator leaves most of these zero (A_qq has no v-v
     coupling away from the interface), so only a perturbed one exercises
     every term of the elimination.
     """
-    nu, n_q = gen.n_u, gen.dim - gen.n_u
-
-    def band(n):
-        return sp.diags([rng.standard_normal(n - 1), rng.standard_normal(n),
-                         rng.standard_normal(n - 1)], [-1, 0, 1])
-
-    a_qu = sp.vstack([band(nu), sp.csr_matrix((n_q - nu, nu))])
-    return sp.bmat([[sp.csr_matrix((nu, nu)), sp.csr_matrix((nu, n_q))],
-                    [a_qu, band(n_q)]], format="csr")
+    return dataclasses.replace(gen, **{
+        name: getattr(gen, name) + noise * rng.standard_normal(len(getattr(gen, name)))
+        for name in _A_BANDS})
 
 
 class TestShiftedSolve:
@@ -232,7 +271,7 @@ class TestShiftedSolve:
         gen = assemble(GridSpec(n_wave, n_heat), variant)
         rng = np.random.default_rng(seed)
         if noise:
-            gen = dataclasses.replace(gen, A=(gen.A + noise * _band_noise(gen, rng)).tocsr())
+            gen = _band_noise(gen, rng, noise)
         y = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
         B = (sigma * sp.identity(gen.dim) - gen.A).tocsr()
         shifted = ShiftedSolve(gen, sigma)

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from waveheat import checks
 from waveheat.characteristic import BoundaryVariant
-from waveheat.discretization import GridSpec, ShiftedSolve, assemble, make_domain_data
+from waveheat.discretization import GridSpec, assemble, make_domain_data
 from waveheat.errors import SolveFailureError, VariantError, WindowError
 from waveheat.simulator import (
     CrankNicolsonStepper,
@@ -138,36 +138,21 @@ class TestStepper:
             assert z.tobytes() == z_ref.tobytes()
             assert mid.tobytes() == mid_ref.tobytes()
 
-    @pytest.mark.parametrize("breakage", [
-        "u_rows_scaled", "u_feedback", "far_coupling", "asymmetric",
-        "w_row_coupling", "wide_v_row_coupling"])
+    @pytest.mark.parametrize("breakage", ["asymmetric", "indefinite"])
     def test_rejects_generator_without_structure(self, breakage):
         disc = assemble(GRID, NEU)
         dt = GRID.h_wave / 4.0
-        A = disc.A.tolil()
-        if breakage == "u_rows_scaled":  # u' = 2 v
-            A[: disc.n_u] *= 2.0
-        elif breakage == "u_feedback":  # u' = v - u at the first node
-            A[0, 0] = -1.0
-        elif breakage == "far_coupling":  # q-block coupling beyond the band
-            A[disc.n_u, disc.dim - 1] = -1.0
-        elif breakage == "asymmetric":  # one heat-conduction coefficient changed on one side only
-            row = 2 * disc.n_u
-            A[row, row + 1] *= 1.01
-        else:
-            # an A_qu entry c at (row, col) and -a c in A_qq at the v column
-            # col: the Schur entry a (-a c) + a^2 c is exactly 0 (a = dt/2 =
-            # 2^-9), so only the shared band count of _t_bands can see the change
-            nu = disc.n_u
-            row, col = (2 * nu, 0) if breakage == "w_row_coupling" else (nu + 3, 5)
-            A[row, col] = 1.0
-            A[row, nu + col] -= 0.5 * dt
-        broken = dataclasses.replace(disc, A=A.tocsr())
-        with pytest.raises(SolveFailureError):
+        nu = disc.n_u
+        if breakage == "asymmetric":  # one heat-conduction coefficient changed on one side only
+            q_sup = disc.q_sup.copy()
+            q_sup[nu] *= 1.01
+            broken = dataclasses.replace(disc, q_sup=q_sup)
+        else:  # a symmetric change that makes 1 - (dt/2) A_qq negative in one w row
+            q_main = disc.q_main.copy()
+            q_main[nu] = 8.0 / dt
+            broken = dataclasses.replace(disc, q_main=q_main)
+        with pytest.raises(SolveFailureError, match="Schur complement"):
             CrankNicolsonStepper(broken, dt)
-        if breakage != "asymmetric":  # the shifted solve needs no symmetry
-            with pytest.raises(SolveFailureError):
-                ShiftedSolve(broken, 3.0 + 20j)
 
 
 class TestHeatDissipation:
@@ -192,34 +177,23 @@ class TestHeatDissipation:
         with pytest.raises(SolveFailureError):
             _HeatDissipation(disc)(mids, z, 0.01)
 
-    def test_rejects_form_outside_the_heat_slice(self):
-        disc = assemble(GRID, NEU)
-        W = disc.W_diss.tolil()
-        W[disc.dim - 1, 0] = 1.0
-        with pytest.raises(SolveFailureError):
-            _HeatDissipation(dataclasses.replace(disc, W_diss=W.tocsr()))
-
     @pytest.mark.parametrize("variant", [NEU, DIR])
     @pytest.mark.parametrize("breakage", [
-        "main_scaled", "one_main_entry", "one_sided_coupling", "beyond_the_band",
-        "natural_end"])
+        "main_scaled", "one_main_entry", "one_sided_coupling", "natural_end"])
     def test_rejects_form_other_than_heat_jumps(self, variant, breakage):
         # the sum of squared jumps holds only for c D^T D on the heat slice
         disc = assemble(GRID, variant)
-        W = disc.W_diss.tolil()
-        lo, end = 2 * disc.n_u - 1, disc.dim - 1
+        K_h = disc.K_h.copy()
         if breakage == "main_scaled":
-            W.setdiag(1.5 * disc.W_diss.diagonal())
+            K_h[:, 1] *= 1.5
         elif breakage == "one_main_entry":
-            W[lo + 5, lo + 5] *= 1.0 + 2.0**-52
-        elif breakage == "one_sided_coupling":
-            W[lo + 5, lo + 6] *= 2.0
-        elif breakage == "beyond_the_band":
-            W[lo + 5, lo + 7] = W[lo + 7, lo + 5] = -1.0
+            K_h[5, 1] *= 1.0 + 2.0**-52
+        elif breakage == "one_sided_coupling":  # row 5 to row 6 only
+            K_h[5, 2] *= 2.0
         else:  # the end node kept with a natural condition instead of eliminated
-            W[end, end] *= 0.5
+            K_h[-1, 1] *= 0.5
         with pytest.raises(SolveFailureError, match="heat jumps"):
-            _HeatDissipation(dataclasses.replace(disc, W_diss=W.tocsr()))
+            _HeatDissipation(dataclasses.replace(disc, K_h=K_h))
 
     @pytest.mark.parametrize("variant", [NEU, DIR])
     def test_matches_form_along_a_run(self, monkeypatch, variant):
