@@ -327,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "seed", 0) < 0:  # numpy seeds must be non-negative
+        print(f"waveheat {args.command}: --seed must be >= 0", file=sys.stderr)
+        return USAGE_EXIT
     try:
         if args.command == "spectrum":
             return cmd_spectrum(args)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs, zgttrf, zgttrs
+from scipy.linalg.lapack import dpttrf, zgttrf, zgttrs, zpttrs
 
 from .characteristic import BoundaryVariant, ScaledValue
 from .errors import (
@@ -169,31 +169,73 @@ class DiscreteGenerator:
         return StateVector(u=u, v=v, w=w, variant=self.variant)
 
     def energy(self, z: np.ndarray) -> float:
-        return 0.5 * float(np.real(np.conj(z) @ (self.W_E @ z)))
+        """Half the energy seminorm z^T W_E z of a real state z."""
+        return 0.5 * float(z @ (self.W_E @ z))
 
     def norm(self, z: np.ndarray) -> float:
         return math.sqrt(max(float(np.real(np.conj(z) @ (self.W @ z))), 0.0))
 
-    def gram_solver(self):
-        """W^-1 as a function of a complex vector.
+    @cached_property
+    def _gram_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """pttrf's (d, e) of W's u block: K_w + diag(mass_w) = L diag(d) L^T.
 
-        W is the tridiagonal u block K_w + diag(mass_w), factored once by
-        LAPACK pttrf, next to the diagonal q-block mass.
+        L is unit lower bidiagonal with subdiagonal e.
         """
-        nu, mass_q = self.n_u, self.mass_q
         d, e, info = dpttrf(self.K_w[:, 1] + self.mass_w, self.K_w[:-1, 2])
         if info != 0:
             raise SolveFailureError(f"Gram matrix is not positive definite (pttrf info {info})")
+        return d, e
+
+    def gram_solver(self):
+        """W^-1 as a function of a complex vector.
+
+        The u block by pttrs on the pttrf factor of W's tridiagonal u block,
+        the q block by its diagonal mass.
+        """
+        nu, mass_q = self.n_u, self.mass_q
+        d, e = self._gram_factor
+        e = e.astype(complex)
 
         def solve(x: np.ndarray) -> np.ndarray:
             out = np.empty(len(x), dtype=complex)
-            # real and imaginary parts of x_u as two right-hand sides
-            parts = np.ascontiguousarray(x[:nu], dtype=complex).view(float).reshape(nu, 2)
-            out[:nu].view(float).reshape(nu, 2)[:] = dpttrs(d, e, parts)[0]
+            out[:nu] = x[:nu]
+            _, info = zpttrs(d, e, out[:nu], overwrite_b=1)
+            if info != 0:
+                raise SolveFailureError(f"pttrs info {info}")
             np.divide(x[nu:], mass_q, out=out[nu:])
             return out
 
         return solve
+
+    def gram_root(self):
+        """Products with F and F^T, where W = F F^T, as functions of a complex vector.
+
+        F = diag(L diag(d)^(1/2), M^(1/2)) from the pttrf factor
+        L diag(d) L^T of W's u block and the diagonal q-block mass M:
+        each product is one bidiagonal product and two scalings.
+        """
+        nu = self.n_u
+        d, e = self._gram_factor
+        root_d, root_m = np.sqrt(d), np.sqrt(self.mass_q)
+
+        def times_f(y: np.ndarray) -> np.ndarray:
+            out = np.empty(len(y), dtype=complex)
+            out_u = out[:nu]
+            np.multiply(root_d, y[:nu], out=out_u)
+            out_u[1:] += e * out_u[:-1]
+            np.multiply(root_m, y[nu:], out=out[nu:])
+            return out
+
+        def times_f_t(x: np.ndarray) -> np.ndarray:
+            out = np.empty(len(x), dtype=complex)
+            out_u = out[:nu]
+            out_u[:] = x[:nu]
+            out_u[:-1] += e * x[1:nu]
+            out_u *= root_d
+            np.multiply(root_m, x[nu:], out=out[nu:])
+            return out
+
+        return times_f, times_f_t
 
     def _factor_t(self, sigma: complex, guard: bool):
         """LAPACK gttrf factors (dl, d, du, du2, ipiv) of T(sigma) and gttrf's info.
@@ -203,11 +245,13 @@ class DiscreteGenerator:
         pivot is at most n eps times the largest entry of T (n = dim T).
         """
         nu = self.n_u
-        scale = np.ones(len(self.q_main), dtype=complex)  # the diagonal of D
-        scale[:nu] = sigma
-        main = (sigma - self.q_main) * scale
+        # (sigma I - A_qq) D with D = diag(sigma I_u, I_w): sigma scales the first nu columns
+        main = sigma - self.q_main
+        main[:nu] *= sigma
         main[:nu] -= self.p_main
-        sub, sup = -self.q_sub * scale[:-1], -self.q_sup * scale[1:]
+        sub, sup = (-self.q_sub).astype(complex), (-self.q_sup).astype(complex)
+        sub[:nu] *= sigma
+        sup[: nu - 1] *= sigma
         sub[: nu - 1] -= self.p_sub
         sup[: nu - 1] -= self.p_sup
         dl, d, du, du2, ipiv, info = zgttrf(sub, main, sup)

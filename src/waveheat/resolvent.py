@@ -318,43 +318,46 @@ def arpack_start(dim: int) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
+def _norm_operator(s: float, disc: DiscreteGenerator) -> spla.LinearOperator:
+    """F^T B^(-1) W^(-1) B^(-H) F with B = is I - A_h and W = F F^T: Hermitian, PSD."""
+    shifted = ShiftedSolve(disc, 1j * s)
+    w_solve = disc.gram_solver()
+    times_f, times_f_t = disc.gram_root()
+    return spla.LinearOperator(
+        (disc.dim, disc.dim),
+        matvec=lambda y: times_f_t(shifted.solve(w_solve(shifted.solve_adjoint(times_f(y))))),
+        dtype=complex,
+    )
+
+
 def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
     """Operator norm of (is - A_h)^(-1) in the discrete state geometry.
 
-    Computed as 1/sqrt(mu_min) where mu_min is the smallest eigenvalue of
-    the Hermitian pencil B^H W B x = mu W x with B = is I - A_h, i.e. the
-    smallest singular value of W^(1/2) B W^(-1/2).  Shift-invert applies
-    (B^H W B)^(-1) = B^(-1) W^(-1) B^(-H): B^(-1) and B^(-H) by the
-    tridiagonal elimination of ``ShiftedSolve``, W^(-1) by the pttrf
-    factor of W's u block and its diagonal q block.  Factoring the formed
-    product would square B's condition number.
+    With W = F F^T, ||B^(-1)||_W = ||F^T B^(-1) F^(-T)||_2 for B = is I - A_h,
+    so its square is the largest eigenvalue of the Hermitian operator
+    F^T B^(-1) W^(-1) B^(-H) F, found by ARPACK in standard mode: no mass
+    matrix, no shift.  F = diag(L D^(1/2), M^(1/2)) comes from the pttrf
+    factor L D L^T of W's tridiagonal u block and its diagonal q block,
+    and the same factor applies W^(-1); B^(-1) and B^(-H) are the
+    tridiagonal elimination of ``ShiftedSolve``.  B and W enter only
+    through their factors: factoring the formed product B^H W B would
+    square B's condition number.
 
-    The Lanczos basis holds 4 vectors, not ARPACK's default of 20: at a
+    The Krylov basis holds 4 vectors, not ARPACK's default of 20: at a
     resonance the wanted eigenvalue exceeds the next by about (pi/gap)^2,
     and halfway between two resonances the basis still converges within
-    about 15 applications of the shift-invert operator.
+    about 15 applications of the operator.
     """
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
     _check_resolution(s, disc.grid)
-    shifted = ShiftedSolve(disc, 1j * s)
-    w_solve = disc.gram_solver()
-    gram_inv = spla.LinearOperator(
-        (disc.dim, disc.dim),
-        matvec=lambda x: shifted.solve(w_solve(shifted.solve_adjoint(x))),
-        dtype=complex,
-    )
     try:
-        # shift-invert at sigma = 0 applies only OPinv and M; ARPACK reads
-        # the shape and dtype of its first argument and never multiplies by it.
         # ncv=4: the default 20 builds a 20-vector basis before its first test
-        mu = spla.eigsh(
-            gram_inv, k=1, M=disc.W, sigma=0, which="LM", return_eigenvectors=False,
-            OPinv=gram_inv, v0=arpack_start(disc.dim), ncv=4,
-        )[0]
+        mu = spla.eigsh(_norm_operator(s, disc), k=1, which="LM", return_eigenvectors=False,
+                        v0=arpack_start(disc.dim), ncv=4)[0]
     except spla.ArpackError as exc:
         raise NoConvergenceError(f"resolvent norm at s = {s}: {exc}") from exc
-    return 1.0 / math.sqrt(float(np.real(mu)))
+    return math.sqrt(mu)
 
 
 def resolvent_norm_sampled(

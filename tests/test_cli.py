@@ -62,6 +62,16 @@ def test_bad_numeric_flags_exit_one(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "-1"],
+    ["resolvent", "--seed", "-1", "--s-max", "20", "--s-points", "2"],
+])
+def test_negative_seed_exits_one(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"waveheat {argv[0]}: --seed must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSpectrumCommand:
     def test_neumann_record_count(self, tmp_path):
         code = main(["spectrum", "--nmax", "100", "--out", str(tmp_path)])

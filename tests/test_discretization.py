@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
-from waveheat import checks
+from scipy.linalg.lapack import dpttrf, dpttrs
+
+from waveheat import checks, discretization
 from waveheat.characteristic import BoundaryVariant
 from waveheat.discretization import (
     GridSpec,
@@ -15,6 +18,7 @@ from waveheat.discretization import (
     make_domain_data,
 )
 from waveheat.errors import InfeasibleProfileError, SolveFailureError
+from waveheat.resolvent import required_grid, resolvent_norm_discrete, snap_to_resonance
 from waveheat.simulator import CrankNicolsonStepper
 from waveheat.state import StateVector, heat_nodes, wave_nodes
 
@@ -232,7 +236,16 @@ class TestBandAssembly:
         gen.char_det(3.0 + 20j)
         gen.char_det(np.array([1j, 2.0 - 5j]))
         gen.gram_solver()(np.ones(gen.dim))
+        times_f, times_f_t = gen.gram_root()
+        times_f_t(times_f(np.ones(gen.dim)))
         assert "A" not in gen.__dict__
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_norm_leaves_w_and_a_unformed(self, variant):
+        gen = assemble(required_grid(45.0, factor=2.5), variant)
+        s_eff, _ = snap_to_resonance(gen, 45.0)
+        resolvent_norm_discrete(s_eff, gen)
+        assert "W" not in vars(gen) and "A" not in vars(gen)
 
 
 def _backward_error(B, x, y) -> float:
@@ -283,6 +296,66 @@ class TestShiftedSolve:
         gen = assemble(GridSpec(40, 24), variant)
         x = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
         assert _backward_error(gen.W, gen.gram_solver()(x), x) <= 1e-13
+
+
+def _scale_bands(gen, sigma):
+    """T(sigma)'s (sub, main, sup) by a complex diagonal of D = diag(sigma I_u, I_w)."""
+    nu = gen.n_u
+    scale = np.ones(len(gen.q_main), dtype=complex)
+    scale[:nu] = sigma
+    main = (sigma - gen.q_main) * scale
+    main[:nu] -= gen.p_main
+    sub, sup = -gen.q_sub * scale[:-1], -gen.q_sup * scale[1:]
+    sub[: nu - 1] -= gen.p_sub
+    sup[: nu - 1] -= gen.p_sup
+    return sub, main, sup
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+class TestBandForms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variant=st.sampled_from([NEU, DIR]),
+        n_wave=st.integers(8, 64),
+        n_heat=st.integers(8, 64),
+        sigma=st.one_of(
+            st.just(0j),
+            _finite.map(lambda x: complex(x, 0.0)),
+            st.builds(complex, _finite,
+                      st.floats(-1e3, -1e-3, allow_subnormal=False)),
+            st.complex_numbers(max_magnitude=1e3, allow_subnormal=False).filter(
+                lambda z: not (z.imag == 0 and math.copysign(1.0, z.imag) < 0)),
+        ),
+        noise=st.sampled_from([0.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_t_bands_match_scale_formula(self, variant, n_wave, n_heat, sigma, noise, seed):
+        # for Im sigma = -0.0 the scale formula's (1 + 0j) factors turn the w rows'
+        # -0.0 imaginary parts into +0.0; every other bit agrees
+        gen = assemble(GridSpec(n_wave, n_heat), variant)
+        if noise:
+            gen = _band_noise(gen, np.random.default_rng(seed), noise)
+        with mock.patch.object(discretization, "zgttrf", wraps=discretization.zgttrf) as lu:
+            gen._factor_t(sigma, guard=False)
+        for got, want in zip(lu.call_args.args, _scale_bands(gen, sigma)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from([NEU, DIR]), n_wave=st.integers(8, 300),
+           n_heat=st.integers(8, 64), seed=st.integers(0, 2**32 - 1))
+    def test_gram_solve_matches_two_column_pttrs(self, variant, n_wave, n_heat, seed):
+        gen = assemble(GridSpec(n_wave, n_heat), variant)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+        nu = gen.n_u
+        d, e, _ = dpttrf(gen.K_w[:, 1] + gen.mass_w, gen.K_w[:-1, 2])
+        parts = np.ascontiguousarray(x[:nu]).view(float).reshape(nu, 2)
+        want = np.empty(gen.dim, dtype=complex)
+        want[:nu].view(float).reshape(nu, 2)[:] = dpttrs(d, e, parts)[0]
+        want[nu:] = x[nu:] / gen.mass_q
+        assert gen.gram_solver()(x).tobytes() == want.tobytes()
 
 
 class TestCharDet:
@@ -340,6 +413,17 @@ class TestGramMatrices:
             errs.append(abs(z @ (gen.W @ z) - exact))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.7 <= o <= 2.3 for o in orders)
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_gram_root_factors_w(self, variant):
+        gen = assemble(GridSpec(40, 24), variant)
+        times_f, times_f_t = gen.gram_root()
+        eye = np.eye(gen.dim)
+        F = np.column_stack([times_f(col) for col in eye])
+        F_t = np.column_stack([times_f_t(col) for col in eye])
+        assert np.array_equal(F_t, F.T)
+        W = gen.W.toarray()
+        assert np.abs(F @ F.T - W).max() <= 1e-14 * np.abs(W).max()
 
     def test_we_kernel_is_constant_direction(self):
         gen = assemble(GridSpec(32, 32), NEU)

@@ -22,6 +22,7 @@ from waveheat.resolvent import (
     _GL_WEIGHTS,
     ClosedFormResolvent,
     _KernelIntegrals,
+    _norm_operator,
     apply_resolvent,
     required_grid,
     resolvent_norm_discrete,
@@ -406,8 +407,8 @@ class TestNorms:
     @pytest.mark.parametrize("variant", list(BoundaryVariant))
     @pytest.mark.parametrize("target", [20.0, 45.0])
     def test_norm_solves_at_resonance(self, variant, target, monkeypatch):
-        # a 4-vector Lanczos basis converges in 5-7 applications of
-        # B^-1 W^-1 B^-H at a resonance; ARPACK's default basis takes 21
+        # a 4-vector Krylov basis converges in 5-7 applications of
+        # F^T B^-1 W^-1 B^-H F at a resonance; ARPACK's default basis takes 21
         disc = assemble(required_grid(target, factor=2.5), variant)
         s_eff, _ = snap_to_resonance(disc, target)
         calls = []
@@ -420,6 +421,15 @@ class TestNorms:
         monkeypatch.setattr(ShiftedSolve, "solve", counted)
         resolvent_norm_discrete(s_eff, disc)
         assert len(calls) <= 8
+
+    @settings(max_examples=20, deadline=None)
+    @given(variant=st.sampled_from(list(BoundaryVariant)), n_wave=st.integers(8, 40),
+           n_heat=st.integers(8, 40), s=st.floats(2.0, 60.0))
+    def test_norm_operator_is_hermitian(self, variant, n_wave, n_heat, s):
+        disc = assemble(GridSpec(n_wave, n_heat), variant)
+        op = _norm_operator(s, disc)
+        H = np.column_stack([op.matvec(col) for col in np.eye(disc.dim, dtype=complex)])
+        assert np.abs(H - H.conj().T).max() <= 2e-13 * np.abs(H).max()
 
     def test_arpack_failure_is_typed(self, monkeypatch):
         import scipy.sparse.linalg as spla
