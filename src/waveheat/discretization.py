@@ -172,9 +172,6 @@ class DiscreteGenerator:
         """Half the energy seminorm z^T W_E z of a real state z."""
         return 0.5 * float(z @ (self.W_E @ z))
 
-    def norm(self, z: np.ndarray) -> float:
-        return math.sqrt(max(float(np.real(np.conj(z) @ (self.W @ z))), 0.0))
-
     @cached_property
     def _gram_factor(self) -> tuple[np.ndarray, np.ndarray]:
         """pttrf's (d, e) of W's u block: K_w + diag(mass_w) = L diag(d) L^T.
@@ -342,22 +339,28 @@ class DiscreteGenerator:
         The winding number of ``char_det``'s mantissa phase around the
         circle.  The node count starts at 16 and is doubled until two
         successive levels give the same count, up to CONTOUR_NODE_CAP nodes.
-        det(sigma I - A_h) is a polynomial: there is no branch cut.  A node
-        where gttrf meets a zero pivot raises ContourTooCloseError.
+        Each level keeps the mantissas of the level before, its even nodes,
+        and evaluates only its odd nodes: every node is one gttrf
+        factorization, made once.  det(sigma I - A_h) is a polynomial: there
+        is no branch cut.  A node where gttrf meets a zero pivot raises
+        ContourTooCloseError.
         """
         prev = None
-        n = 16  # each node is one gttrf factorization
+        n, k = 16, np.arange(16)
         while n <= CONTOUR_NODE_CAP:
-            nodes = center + radius * np.exp(2j * math.pi * np.arange(n) / n)
-            mantissa = self.char_det(nodes).mantissa
-            if not mantissa.all():
+            nodes = center + radius * np.exp(2j * math.pi * k / n)
+            added = self.char_det(nodes).mantissa
+            if not added.all():
                 raise ContourTooCloseError(f"eigenvalue on the contour at "
-                                           f"{nodes[mantissa == 0][0]}")
+                                           f"{nodes[added == 0][0]}")
+            # k/n and 2k/2n are the same node bitwise: the level before holds the even ones
+            mantissa = added if prev is None else np.stack([mantissa, added], axis=1).ravel()
             turns = np.angle(np.roll(mantissa, -1) / mantissa).sum() / (2 * math.pi)
             cur = round(turns)
             if cur == prev:
                 return cur
             prev, n = cur, 2 * n
+            k = np.arange(1, n, 2)
         raise NoConvergenceError(
             f"winding number failed to stabilize below {CONTOUR_NODE_CAP} contour nodes")
 

@@ -152,11 +152,21 @@ def count_zeros_contour(
     """Argument-principle zero count of the determinant inside a circle.
 
     Trapezoidal quadrature of D'/D, the reciprocal of the Newton ratio,
-    around the contour, with the node count doubled until the rounded
-    winding number is stable across two successive refinement levels.  Each
-    level keeps the nodes of the one before and evaluates, as one array,
-    only those it adds, the odd indices of its own node set; the quadrature
-    sum carries over.
+    around the contour, with the node count doubled from ``n_start`` until
+    the rounded winding number is stable across two successive refinement
+    levels.  Each level keeps the nodes of the one before and adds the odd
+    indices of its own node set; the quadrature sum carries over.
+
+    A count needs two levels, so levels 0 and 1 are one ``newton_ratio``
+    call over 2 ``n_start`` nodes, level 0's indices k written as 2k over
+    2 ``n_start`` (a power-of-two rescaling, so bitwise the same nodes) and
+    then level 1's odd indices: a call of a few hundred nodes costs little
+    more than its fixed overhead.  Each level is then checked and summed in
+    order, as if evaluated alone; from level 2 on a call holds one level.
+    One consequence: when D' vanishes exactly at a level-1 node,
+    ``newton_ratio``'s DegenerateInputError comes before level 0's checks.
+    An ``n_start`` above CONTOUR_NODE_CAP / 2 leaves no room for level 1
+    and raises NoConvergenceError before any evaluation.
     """
     if n_start < 1:
         raise ValueError(f"n_start must be >= 1, got {n_start}")
@@ -166,29 +176,33 @@ def count_zeros_contour(
         )
     prev_int: int | None = None
     total = 0j
-    n, k = n_start, np.arange(n_start)
-    while n <= CONTOUR_NODE_CAP:
-        lam = center + radius * np.exp(2j * math.pi * k / n)
-        step = newton_ratio(lam, variant)
-        on_zero = step == 0
-        if on_zero.any():
-            raise ContourTooCloseError(f"zero on the contour at {lam[on_zero][0]}")
-        # |D/D'| approximates the distance to the nearest zero
-        min_dist = float(np.min(np.abs(step)))
-        if min_dist < 1e-6:
-            raise ContourTooCloseError(
-                f"zero within {min_dist:.2e} of the contour (tolerance 1e-6)"
-            )
-        total += complex(np.sum((lam - center) / step))
-        winding = total / n
-        if abs(winding.imag) < 0.25 and abs(winding.real - round(winding.real)) < 0.25:
-            cur = round(winding.real)
-            if prev_int is not None and cur == prev_int:
-                return cur
-            prev_int = cur
-        else:
-            prev_int = None
-        n *= 2
+    # a call evaluates ``levels`` levels, the last of ``span`` nodes, which k indexes
+    n, span, levels = n_start, 2 * n_start, 2
+    k = np.concatenate([np.arange(0, span, 2), np.arange(1, span, 2)])
+    while span <= CONTOUR_NODE_CAP:
+        lam_all = center + radius * np.exp(2j * math.pi * k / span)
+        step_all = newton_ratio(lam_all, variant)
+        for lam, step in zip(np.split(lam_all, levels), np.split(step_all, levels)):
+            on_zero = step == 0
+            if on_zero.any():
+                raise ContourTooCloseError(f"zero on the contour at {lam[on_zero][0]}")
+            # |D/D'| approximates the distance to the nearest zero
+            min_dist = float(np.min(np.abs(step)))
+            if min_dist < 1e-6:
+                raise ContourTooCloseError(
+                    f"zero within {min_dist:.2e} of the contour (tolerance 1e-6)"
+                )
+            total += complex(np.sum((lam - center) / step))
+            winding = total / n
+            if abs(winding.imag) < 0.25 and abs(winding.real - round(winding.real)) < 0.25:
+                cur = round(winding.real)
+                if prev_int is not None and cur == prev_int:
+                    return cur
+                prev_int = cur
+            else:
+                prev_int = None
+            n *= 2
+        span, levels = n, 1
         k = np.arange(1, n, 2)
     raise NoConvergenceError(
         f"winding number failed to stabilize below {CONTOUR_NODE_CAP} contour nodes"

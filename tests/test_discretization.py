@@ -390,6 +390,49 @@ class TestCharDet:
             assert (m, ls) == gen.char_det(p)
 
 
+class TestCountEigenvalues:
+    @pytest.mark.parametrize("variant,n,center,radius,count", [
+        (DIR, 64, 0.0, 1.23, 2),
+        (NEU, 64, 0.0, 0.3, 1),
+        (NEU, 64, 3j, 6.0, 6),
+    ])
+    def test_every_node_factored_once(self, variant, n, center, radius, count, monkeypatch):
+        # each level keeps the level before's mantissas and factors only its
+        # odd nodes; interleaved, the nodes are those of the full level's
+        # expression, and the count is a recount of every level in full
+        gen = assemble(GridSpec(n, n), variant)
+        evaluated = []
+        det_t = gen._det_t
+
+        def recording(sigma, guard=False):
+            evaluated.append(sigma)
+            return det_t(sigma, guard)
+
+        monkeypatch.setattr(gen, "_det_t", recording)
+        assert gen.count_eigenvalues(center, radius) == count
+        nodes, start, size = np.array(evaluated[:16]), 16, 16
+        while start < len(evaluated):
+            merged = np.empty(2 * size, complex)
+            merged[0::2], merged[1::2] = nodes, evaluated[start:start + size]
+            nodes, start, size = merged, start + size, 2 * size
+        assert start == len(evaluated) == len(nodes)
+        full = center + radius * np.exp(2j * math.pi * np.arange(len(nodes)) / len(nodes))
+        assert nodes.tobytes() == full.tobytes()
+        monkeypatch.undo()
+        assert _recount(gen, center, radius) == (count, len(nodes))
+
+
+def _recount(gen, center, radius) -> tuple[int, int]:
+    """The discrete count with every level's nodes factored in full, and its final node count."""
+    prev, n = None, 16
+    while True:
+        mantissa = gen.char_det(center + radius * np.exp(2j * math.pi * np.arange(n) / n)).mantissa
+        cur = round(np.angle(np.roll(mantissa, -1) / mantissa).sum() / (2 * math.pi))
+        if cur == prev:
+            return cur, n
+        prev, n = cur, 2 * n
+
+
 class TestGramMatrices:
     def test_constant_state_norms(self):
         gen = assemble(GridSpec(64, 64), NEU)

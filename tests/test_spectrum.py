@@ -9,6 +9,7 @@ from waveheat.errors import (
     ContourTooCloseError,
     CutIntersectionError,
     InsufficientDataError,
+    NoConvergenceError,
 )
 from waveheat.spectrum import (
     asymptotics_report,
@@ -172,7 +173,8 @@ class TestContourCounts:
     @pytest.mark.parametrize("variant", [NEU, DIR])
     def test_every_disk_once_with_nested_nodes(self, variant, monkeypatch):
         # each node of the final level is evaluated exactly once over all
-        # levels, and the nodes are those of the full level's expression
+        # levels, and the nodes are those of the full level's expression;
+        # the first call holds levels 0 and 1, level 0's nodes first
         evaluated = []
 
         def recording(lam, variant):
@@ -187,9 +189,9 @@ class TestContourCounts:
             evaluated.clear()
             assert count_zeros_contour(s.center, s.radius, variant) == 1
             sizes = [len(lam) for lam in evaluated]
-            assert sizes == [256] + [256 * 2**j for j in range(len(sizes) - 1)]
-            nodes = evaluated[0]
-            for added in evaluated[1:]:
+            assert sizes == [512] + [512 * 2**j for j in range(len(sizes) - 1)]
+            nodes, *added_levels = [*np.split(evaluated[0], 2), *evaluated[1:]]
+            for added in added_levels:
                 merged = np.empty(2 * len(nodes), complex)
                 merged[0::2], merged[1::2] = nodes, added
                 nodes = merged
@@ -197,6 +199,106 @@ class TestContourCounts:
             assert n == sum(sizes)
             full = s.center + s.radius * np.exp(2j * math.pi * np.arange(n) / n)
             assert nodes.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_first_call_is_both_levels_bitwise(self, variant, monkeypatch):
+        # the halves of the merged call, nodes and ratios, are bitwise the
+        # arrays of one call per level
+        calls = []
+
+        def recording(lam, variant):
+            calls.append((lam, ratio(lam, variant)))
+            return calls[-1][1]
+
+        ratio = spectrum.newton_ratio
+        monkeypatch.setattr(spectrum, "newton_ratio", recording)
+        n = spectrum.CONTOUR_NODE_START
+        for s in seeds(variant, 200):
+            if abs(s.n) < 5:
+                continue
+            calls.clear()
+            count_zeros_contour(s.center, s.radius, variant)
+            lam, step = calls[0]
+            for half, (k, m) in enumerate([(np.arange(n), n), (np.arange(1, 2 * n, 2), 2 * n)]):
+                level = s.center + s.radius * np.exp(2j * math.pi * k / m)
+                part = slice(half * n, (half + 1) * n)
+                assert lam[part].tobytes() == level.tobytes()
+                assert step[part].tobytes() == ratio(level, variant).tobytes()
+
+    @pytest.mark.parametrize("level_0, level_1, message", [
+        (0.0, 0.0, "zero on the contour at {node}"),
+        (1e-9, 0.0, "zero within 1.00e-09"),
+    ])
+    def test_level_0_checks_come_first(self, level_0, level_1, message, monkeypatch):
+        # with faults at both levels of the merged call, level 0's zero check
+        # and distance guard raise before level 1 is looked at
+        n = spectrum.CONTOUR_NODE_START
+
+        def faulty(lam, variant):
+            step = ratio(lam, variant)
+            step[3], step[n + 5] = level_0, level_1
+            return step
+
+        ratio = spectrum.newton_ratio
+        monkeypatch.setattr(spectrum, "newton_ratio", faulty)
+        s = {x.n: x for x in seeds(NEU, 12)}[12]
+        node = (s.center + s.radius * np.exp(2j * math.pi * np.arange(n) / n))[3]
+        with pytest.raises(ContourTooCloseError) as err:
+            count_zeros_contour(s.center, s.radius, NEU)
+        assert str(err.value).startswith(message.format(node=node))
+
+    @pytest.mark.parametrize("variant,center,radius,n_start", [
+        (NEU, 300j, 250.0, 256),
+        (DIR, 300j, 250.0, 256),
+        (NEU, 100j, 30.0, 16),
+        (DIR, 20j, 5.0, 4),
+    ])
+    def test_later_levels_match_level_by_level(self, variant, center, radius, n_start,
+                                               monkeypatch):
+        # disks that need a third level and more: the same count, from the
+        # same final level, as one newton_ratio call per level
+        sizes = []
+
+        def recording(lam, variant):
+            sizes.append(len(lam))
+            return ratio(lam, variant)
+
+        ratio = spectrum.newton_ratio
+        want, n_final = _count_level_by_level(center, radius, variant, n_start)
+        monkeypatch.setattr(spectrum, "newton_ratio", recording)
+        assert count_zeros_contour(center, radius, variant, n_start=n_start) == want
+        assert len(sizes) >= 2 and sum(sizes) == n_final
+
+    def test_small_node_start_counts_one(self):
+        # perfbench's tracer test counts this disk from 64 nodes
+        s = {x.n: x for x in seeds(NEU, 12)}[12]
+        assert count_zeros_contour(s.center, s.radius, NEU, n_start=64) == 1
+
+    def test_node_start_past_half_the_cap_rejected(self, monkeypatch):
+        def no_evaluation(lam, variant):
+            raise AssertionError("evaluated with no room for a second level")
+
+        monkeypatch.setattr(spectrum, "newton_ratio", no_evaluation)
+        with pytest.raises(NoConvergenceError):
+            count_zeros_contour(5j, 1.0, NEU, n_start=spectrum.CONTOUR_NODE_CAP // 2 + 1)
+
+
+def _count_level_by_level(center, radius, variant, n_start):
+    """The winding count with one newton_ratio call per level, and its final node count."""
+    prev, total, n, k = None, 0j, n_start, np.arange(n_start)
+    while n <= spectrum.CONTOUR_NODE_CAP:
+        lam = center + radius * np.exp(2j * math.pi * k / n)
+        total += complex(np.sum((lam - center) / spectrum.newton_ratio(lam, variant)))
+        winding = total / n
+        if abs(winding.imag) < 0.25 and abs(winding.real - round(winding.real)) < 0.25:
+            if round(winding.real) == prev:
+                return prev, n
+            prev = round(winding.real)
+        else:
+            prev = None
+        n *= 2
+        k = np.arange(1, n, 2)
+    raise AssertionError("no stable count below the cap")
 
 
 @pytest.fixture(scope="module")
