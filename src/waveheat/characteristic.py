@@ -181,16 +181,26 @@ def _upper_terms(z: complex | np.ndarray, variant: BoundaryVariant):
     return r, p, q, *_cosh_sinh_hat(r), abs(z.real) + abs(r.real)
 
 
+def _det_sum(terms):
+    """D / exp(scale) = r p cosh(r) + q sinh(r) from the factors of ``_hat_terms``."""
+    r, p, q, cr, sr, _ = terms
+    return r * p * cr + q * sr
+
+
+def _deriv_sum(terms):
+    """D' / exp(scale) = (p + q) cosh(r)/(2r) + r q cosh(r) + (3/2) p sinh(r)."""
+    r, p, q, cr, sr, _ = terms
+    return (p + q) * cr / (2.0 * r) + r * q * cr + 1.5 * p * sr
+
+
 def _det(terms) -> ScaledValue:
-    """D = r p cosh(r) + q sinh(r) from the factors of ``_hat_terms``."""
-    r, p, q, cr, sr, scale = terms
-    return _normalize(r * p * cr + q * sr, scale)
+    """The scaled determinant from the factors of ``_hat_terms``."""
+    return _normalize(_det_sum(terms), terms[-1])
 
 
 def _deriv(terms) -> ScaledValue:
-    """D' = (p + q) cosh(r)/(2r) + r q cosh(r) + (3/2) p sinh(r) from ``_hat_terms``."""
-    r, p, q, cr, sr, scale = terms
-    return _normalize((p + q) * cr / (2.0 * r) + r * q * cr + 1.5 * p * sr, scale)
+    """The scaled derivative from the factors of ``_hat_terms``."""
+    return _normalize(_deriv_sum(terms), terms[-1])
 
 
 def _deriv_domain(lam: complex | np.ndarray) -> complex | np.ndarray:
@@ -267,12 +277,29 @@ def newton_ratio(lam: complex | np.ndarray, variant: BoundaryVariant) -> complex
     ``lam`` is a point or an array of points; D and D' share one evaluation.
     Rejects the points ``char_fn_deriv_scaled`` rejects, and a point, or an
     array holding a point, where D' vanishes.
+
+    An array's ratio is the quotient of the unscaled sums ``_det_sum`` and
+    ``_deriv_sum``: both carry the factor exp(|Re lam| + |Re sqrt(lam)|),
+    which cancels, and their hat factors have modulus at most 1 with
+    |cosh_hat|^2 + |sinh_hat|^2 >= 1/2, so neither overflows nor
+    underflows.  On the contours of the seed disks with 5 <= |n| <= 200 it
+    is bitwise the scaled quotient (m_n/m_d) exp(ls_n - ls_d); at large |n|
+    it is closer to 60-digit values, because the scaled form rounds the
+    difference of two log scales before ``exp``: the worst relative error
+    on a count's 512 nodes is 1.0e-14 against 3.5e-14 at n = 1e5, and
+    3.5e-14 against 1.2e-13 at n = 1e6.  A point keeps the scaled form, in
+    Python ``complex`` arithmetic, because Newton roots are printed to the
+    last bit.
     """
+    if isinstance(lam, np.ndarray):
+        terms = _upper_terms(_deriv_domain(lam), variant)
+        num, den = _det_sum(terms), _deriv_sum(terms)
+        if (den == 0).any():
+            raise DegenerateInputError("derivative vanished; Newton step undefined")
+        return num / den
     num, den = _char_fn_pair(lam, variant)
-    if _any(den.mantissa == 0):
+    if den.mantissa == 0:
         raise DegenerateInputError("derivative vanished; Newton step undefined")
-    if isinstance(num.mantissa, np.ndarray):
-        return (num.mantissa / den.mantissa) * np.exp(num.log_scale - den.log_scale)
     if num.mantissa == 0:
         return 0j
     return (num.mantissa / den.mantissa) * math.exp(num.log_scale - den.log_scale)

@@ -81,10 +81,12 @@ class DiscreteGenerator:
     the (sub, main, sup) rows of the wave and heat stiffness, ``mass_w``
     the wave trapezoid weights and ``mass_q`` the lumped mass of q.
 
-    ``A`` and the CSR Gram matrices are derived on first use: ``W`` induces
-    the full state norm, ``W_E`` the energy seminorm (twice the energy),
-    and ``W_diss`` the heat-gradient dissipation form; all are real
-    symmetric and ``W`` is positive definite.
+    ``A`` and the CSR matrices ``W_E``, of the energy seminorm (twice the
+    energy), and ``W_diss``, of the heat-gradient dissipation form, are
+    derived on first use; both are real symmetric.  The Gram matrix
+    W = diag(K_w + diag(mass_w), diag(mass_q)) of the full state norm is
+    positive definite and is used only through its factor
+    (``gram_solver``, ``gram_root``).
     """
 
     q_sub: np.ndarray
@@ -115,18 +117,9 @@ class DiscreteGenerator:
         return _csr_from_diagonals(rows, (-nu - 1, -nu, 1 - nu, -1, 0, 1, nu))
 
     @cached_property
-    def W(self) -> sp.csr_matrix:
-        return self._gram(self.K_w[:, 1] + self.mass_w)
-
-    @cached_property
     def W_E(self) -> sp.csr_matrix:
-        return self._gram(self.K_w[:, 1])
-
-    def _gram(self, u_main: np.ndarray) -> sp.csr_matrix:
-        """diag(K_w with main diagonal ``u_main``, diag(mass_q))."""
         rows = np.zeros((self.dim, 3))
         rows[: self.n_u] = self.K_w
-        rows[: self.n_u, 1] = u_main
         rows[self.n_u :, 1] = self.mass_q
         return _csr_from_diagonals(rows, (-1, 0, 1))
 

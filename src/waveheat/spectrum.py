@@ -161,10 +161,16 @@ def count_zeros_contour(
     call over 2 ``n_start`` nodes, level 0's indices k written as 2k over
     2 ``n_start`` (a power-of-two rescaling, so bitwise the same nodes) and
     then level 1's odd indices: a call of a few hundred nodes costs little
-    more than its fixed overhead.  Each level is then checked and summed in
-    order, as if evaluated alone; from level 2 on a call holds one level.
+    more than its fixed overhead.  From level 2 on a call holds one level.
     One consequence: when D' vanishes exactly at a level-1 node,
     ``newton_ratio``'s DegenerateInputError comes before level 0's checks.
+
+    The ratios are ``newton_ratio``'s array branch, the quotient of the
+    unscaled sums, whose common exponential scale cancels.  The minima of
+    |D/D'| and the quadrature sums of all the levels in a call come from
+    one pass over its (levels, n) view; each level is then checked and
+    summed in order, as if evaluated alone, and an exact zero raises
+    ContourTooCloseError naming its node, without a floating-point warning.
     An ``n_start`` above CONTOUR_NODE_CAP / 2 leaves no room for level 1
     and raises NoConvergenceError before any evaluation.
     """
@@ -181,18 +187,21 @@ def count_zeros_contour(
     k = np.concatenate([np.arange(0, span, 2), np.arange(1, span, 2)])
     while span <= CONTOUR_NODE_CAP:
         lam_all = center + radius * np.exp(2j * math.pi * k / span)
-        step_all = newton_ratio(lam_all, variant)
-        for lam, step in zip(np.split(lam_all, levels), np.split(step_all, levels)):
-            on_zero = step == 0
-            if on_zero.any():
-                raise ContourTooCloseError(f"zero on the contour at {lam[on_zero][0]}")
-            # |D/D'| approximates the distance to the nearest zero
-            min_dist = float(np.min(np.abs(step)))
+        lam_lv = lam_all.reshape(levels, -1)
+        step_lv = newton_ratio(lam_all, variant).reshape(levels, -1)
+        # |D/D'| approximates the distance to the nearest zero; an exact
+        # zero is reported below, so its quotient may be inf or nan here
+        min_dists = np.abs(step_lv).min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums = ((lam_lv - center) / step_lv).sum(axis=1)
+        for lam, step, min_dist, part in zip(lam_lv, step_lv, min_dists, sums):
+            if min_dist == 0:
+                raise ContourTooCloseError(f"zero on the contour at {lam[step == 0][0]}")
             if min_dist < 1e-6:
                 raise ContourTooCloseError(
                     f"zero within {min_dist:.2e} of the contour (tolerance 1e-6)"
                 )
-            total += complex(np.sum((lam - center) / step))
+            total += complex(part)
             winding = total / n
             if abs(winding.imag) < 0.25 and abs(winding.real - round(winding.real)) < 0.25:
                 cur = round(winding.real)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from waveheat.characteristic import BoundaryVariant
 from waveheat.state import StateVector, heat_nodes, wave_nodes
@@ -62,6 +63,17 @@ def mp_charfn(lam: complex, variant: BoundaryVariant, dps: int = 40) -> complex:
         else:
             val = r * mp.sinh(z) * mp.cosh(r) + mp.cosh(z) * mp.sinh(r)
         return complex(val)
+
+
+def gram_matrix(gen) -> sp.csr_matrix:
+    """The state Gram matrix W = diag(K_w + diag(mass_w), diag(mass_q)) of a generator.
+
+    The generator uses W only through its factor; tests form it from the
+    bands ``K_w``, ``mass_w`` and ``mass_q``.
+    """
+    k_w = sp.diags([gen.K_w[1:, 0], gen.K_w[:, 1] + gen.mass_w, gen.K_w[:-1, 2]],
+                   [-1, 0, 1])
+    return sp.block_diag([k_w, sp.diags(gen.mass_q)], format="csr")
 
 
 def smooth_triple(rng):

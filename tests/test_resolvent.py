@@ -38,6 +38,7 @@ from conftest import (
     W_CONST_S25,
     WP_CONST_S25,
     defining_residual,
+    gram_matrix,
     smooth_triple,
 )
 
@@ -70,13 +71,13 @@ def _pack_data(gen, f, g, h) -> np.ndarray:
 
 def _w_norm(disc, z) -> float:
     """sqrt(z^H W z), the generator's energy norm of a complex vector."""
-    return math.sqrt(max(float(np.real(np.conj(z) @ (disc.W @ z))), 0.0))
+    return math.sqrt(max(float(np.real(np.conj(z) @ (gram_matrix(disc) @ z))), 0.0))
 
 
 def _dense_norm(disc, s) -> float:
     """||(is - A_h)^-1|| in the W-norm: 1/sigma_min(L^T B L^-T), W = L L^T, B = is - A_h."""
     B = 1j * s * np.eye(disc.dim) - disc.A.toarray()
-    L = np.linalg.cholesky(disc.W.toarray())
+    L = np.linalg.cholesky(gram_matrix(disc).toarray())
     scaled = L.T @ np.linalg.solve(L, B.T).T
     return 1.0 / np.linalg.svd(scaled, compute_uv=False)[-1]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,28 @@ class TestContourCounts:
         with pytest.raises(ContourTooCloseError) as err:
             count_zeros_contour(s.center, s.radius, NEU)
         assert str(err.value).startswith(message.format(node=node))
+
+    @pytest.mark.parametrize("level, index", [(0, 3), (1, 5)])
+    def test_exact_zero_raises_without_warning(self, level, index, monkeypatch):
+        # a ratio of exactly zero names its node; the quadrature sums are
+        # taken before the checks, so its quotient must not warn
+        n = spectrum.CONTOUR_NODE_START
+
+        def faulty(lam, variant):
+            step = ratio(lam, variant)
+            step[level * n + index] = 0.0
+            return step
+
+        ratio = spectrum.newton_ratio
+        monkeypatch.setattr(spectrum, "newton_ratio", faulty)
+        s = {x.n: x for x in seeds(NEU, 12)}[12]
+        k, m = (index, n) if level == 0 else (2 * index + 1, 2 * n)
+        node = s.center + s.radius * np.exp(2j * math.pi * np.array([k]) / m)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContourTooCloseError) as err:
+                count_zeros_contour(s.center, s.radius, NEU)
+        assert str(err.value) == f"zero on the contour at {node}"
 
     @pytest.mark.parametrize("variant,center,radius,n_start", [
         (NEU, 300j, 250.0, 256),
