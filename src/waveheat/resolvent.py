@@ -36,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from numpy.polynomial.polynomial import polyval
 
 from .characteristic import (
     BoundaryVariant,
@@ -53,7 +52,7 @@ from .errors import (
     SingularSystemError,
     VariantError,
 )
-from .state import StateVector, heat_nodes, wave_nodes
+from .state import StateVector, _norm_X, heat_nodes, wave_nodes
 
 __all__ = [
     "ClosedFormResolvent",
@@ -69,6 +68,12 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _MAX_SQRT_REAL = 600.0  # exp(Re sqrt(is)) guard for the unscaled heat kernels
 _DIRICHLET_BRANCH_0 = -0.7256 + 0.9716j  # continuous root of Dirichlet branch 0, to 4 digits
+# Node values per stacked (rows, nodes) array of resolvent_norm_sampled: its
+# trials go in chunks of this many entries, one row when a row is longer.
+# Stacking every trial at once raised the benchmark's peak RSS by 1.5 MB on
+# `verify` and 2.3 MB on the `envelope` sweep; 2048 entries (32 KiB) kept
+# both within 0.1 MB, and 4096 cost `verify` 0.8 MB.
+_STACK_ENTRIES = 2048
 
 
 class _KernelIntegrals:
@@ -117,11 +122,14 @@ class _KernelIntegrals:
             np.exp(kappa * (x[:-1] - x[-1])), np.exp(kappa * h * frac))
 
     def __call__(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        start, jump = d[:-1], d[1:] - d[:-1]
+        """(S, C) of node data d along its last axis; rows of stacked data are independent."""
+        start, jump = d[..., :-1], d[..., 1:] - d[..., :-1]
 
         def prefix(cell_weights):
             a, b = cell_weights
-            return np.concatenate([[0.0], np.cumsum(start * a + jump * b)])
+            sums = np.zeros(d.shape, dtype=complex)
+            np.cumsum(start * a + jump * b, axis=-1, out=sums[..., 1:])
+            return sums
 
         (grow_x, grow_w), (decay_x, decay_w) = self._grow, self._decay
         grow = grow_x * prefix(grow_w)
@@ -157,6 +165,21 @@ class ClosedFormResolvent:
     ``random_triple``.  It rejects s = 0, Re sqrt(is) > 600 (the unscaled
     heat kernels) and an underflowing determinant, and warns for |s| < 2,
     outside the calibrated frequency range.  The methods do the per-data work.
+
+    The per-data work runs on stacked data: ``random_rows`` draws and
+    ``solve_rows`` solves (rows, nodes) arrays, and ``random_triple`` and
+    ``solve`` are their one-row case.  The draws, kernel moments, prefix
+    sums, particular integrals and solution profiles are elementwise or
+    run along the last axis, so each row keeps the bits it has alone.  The
+    interface constants (a, b) stay numpy scalars, computed row by row:
+    their numerator cancels about 10 digits at s = 3000, and numpy's array
+    loops round complex products differently from its scalar arithmetic.
+    Array arithmetic moved a by 3.1e-7 there, and it changed 80 of 276
+    sampled norms on ``required_grid(s, 2.5)`` for 2.5 <= s <= 3000, by up
+    to 9e-13 relative at s = 1000 and 2.4e-6 at s = 3000.
+    ``resolvent_norm_sampled`` stacks at most ``_STACK_ENTRIES`` = 2048 node
+    values per array, which kept peak RSS within 0.1 MB of the one-trial
+    loop on the ``verify`` and ``envelope`` benchmark workloads.
     """
 
     def __init__(self, s: float, n_wave: int, n_heat: int):
@@ -191,10 +214,16 @@ class ClosedFormResolvent:
             dtype=complex,
         )
         phase = s * (xw + 1.0)
-        self._cos, self._sin = np.cos(phase), np.sin(phase)
+        # Real profiles are held as complex (x, 0), which is what a complex
+        # product casts a real operand to: the products keep their bits and
+        # skip the cast.
+        self._cos, self._sin = np.cos(phase).astype(complex), np.sin(phase).astype(complex)
         self._sinh = np.sinh(z * (1.0 - xh))
         osc, layer = np.exp(1j * s * xw), np.exp(-z * xh)
-        self._osc, self._layer = (osc.real, osc.imag), (layer.real, layer.imag)
+        self._carriers = (
+            (xw.astype(complex), osc.real.astype(complex), osc.imag.astype(complex)),
+            (xh.astype(complex), layer.real.astype(complex), layer.imag.astype(complex)),
+        )
 
     def particular_wave(self, y: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """Particular integral of the forced oscillator at every wave node.
@@ -206,9 +235,7 @@ class ClosedFormResolvent:
         integrals with kappa = is.
         """
         _check_segment("wave", y.u, self._xw)
-        s = self.s
-        sinh_int, cosh_int = self._wave(1j * s * y.u + y.v)
-        return sinh_int / (1j * s), cosh_int
+        return self._wave_rows(y.u, y.v)
 
     def particular_heat(self, y: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """Particular integral of the forced diffusion operator at every heat node.
@@ -220,8 +247,47 @@ class ClosedFormResolvent:
         reflected variable 1 - xi.
         """
         _check_segment("heat", y.w, self._xh)
-        sinh_int, cosh_int = self._heat(y.w[::-1])
-        return (-sinh_int / self.z)[::-1], cosh_int[::-1]
+        return self._heat_rows(y.w)
+
+    def _wave_rows(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (U, U') along the last axis of the wave data
+        s = self.s
+        sinh_int, cosh_int = self._wave(1j * s * f + g)
+        return sinh_int / (1j * s), cosh_int
+
+    def _heat_rows(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (W, W') along the last axis of the heat data
+        sinh_int, cosh_int = self._heat(h[..., ::-1])
+        return (-sinh_int / self.z)[..., ::-1], cosh_int[..., ::-1]
+
+    def random_rows(
+        self, rng: np.random.Generator, rows: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rows`` data triples (f, g, h), stacked as (rows, nodes) arrays.
+
+        Row k holds the triple the (k+1)-th of ``rows`` ``random_triple``
+        calls would draw, bit for bit: one draw of 60 rows normals is the
+        60-normal draws of those calls in turn, and every step of the
+        construction is elementwise.
+        """
+        normals = rng.standard_normal(60 * rows).reshape(rows, 60)
+        draw = iter(np.split(normals, np.cumsum([4, 4, 3, 3, 3, 3] * 3)[:-1], axis=1))
+
+        def rpoly(x):
+            # polyval(x, c) of each row's coefficients c, in polyval's order of operations
+            coef = next(draw) + 1j * next(draw)
+            value = coef[:, -1:] * x
+            for k in range(coef.shape[1] - 2, -1, -1):
+                value += coef[:, k : k + 1]
+                if k:
+                    value *= x
+            return value
+
+        (xw, osc_re, osc_im), (xh, layer_re, layer_im) = self._carriers
+        f = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
+        g = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
+        h = rpoly(xh) + rpoly(xh) * layer_re + rpoly(xh) * layer_im
+        return f, g, h
 
     def random_triple(self, rng: np.random.Generator) -> StateVector:
         """Random smooth data with content at the frequency scales of the problem.
@@ -231,19 +297,40 @@ class ClosedFormResolvent:
         randomized norm sampling can excite the resonant response.  One
         draw of 60 normals holds the nine complex coefficient vectors, three
         of lengths 4, 3, 3 for each of f, g and h in turn, each vector as its
-        real parts followed by its imaginary parts.
+        real parts followed by its imaginary parts.  The one-row case of
+        ``random_rows``.
         """
-        draw = iter(np.split(rng.standard_normal(60), np.cumsum([4, 4, 3, 3, 3, 3] * 3)[:-1]))
+        f, g, h = self.random_rows(rng, 1)
+        return StateVector(u=f[0], v=g[0], w=h[0])
 
-        def rpoly(x):
-            return polyval(x, next(draw) + 1j * next(draw))
+    def solve_rows(self, f: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
+        """``solve`` for stacked Neumann data rows (f, g, h), each (rows, nodes).
 
-        xw, (osc_re, osc_im) = self._xw, self._osc
-        xh, (layer_re, layer_im) = self._xh, self._layer
-        f = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
-        g = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
-        h = rpoly(xh) + rpoly(xh) * layer_re + rpoly(xh) * layer_im
-        return StateVector(u=f, v=g, w=h)
+        Returns the fields of ``ResolventSolution``, each with a leading
+        row axis, and the state as its node arrays (u, v, w, u').  Row k is
+        bitwise the solution of row k alone.  The interface constants are
+        computed row by row in numpy scalar arithmetic, for the reason the
+        class docstring gives.
+        """
+        s, z, det = self.s, self.z, self.det
+        wave, heat = self._wave_rows(f, g), self._heat_rows(h)
+        (u_vals, u_ders), (w_vals, w_ders) = wave, heat
+        rhs = np.empty((len(f), 2), dtype=complex)
+        a, b = np.empty(len(f), dtype=complex), np.empty(len(f), dtype=complex)
+        # Cramer's rule for M (a, b) = (p, q): the factors that no data enter
+        a_p, a_q, a_scale = z * self._cosh_hat, self._sinh_hat, math.exp(z.real - det.log_scale)
+        b_p, b_q, b_scale = -s * math.sin(s), 1j * s * math.cos(s), math.exp(-det.log_scale)
+        for row in range(len(f)):
+            p = complex(f[row, -1]) + 1j * s * u_vals[row, -1] + w_vals[row, 0]
+            q = -u_ders[row, -1] - w_ders[row, 0]
+            a[row] = ((a_p * p - a_q * q) / det.mantissa) * a_scale
+            b[row] = ((b_p * p + b_q * q) / det.mantissa) * b_scale
+            rhs[row] = p, q
+        a_col, b_col = a[:, None], b[:, None]
+        u = a_col * self._cos - u_vals
+        u_prime = -s * a_col * self._sin - u_ders
+        w = -b_col * self._sinh + w_vals
+        return (u, 1j * s * u - f, w, u_prime), a, b, rhs, wave, heat
 
     def solve(self, y: StateVector) -> ResolventSolution:
         """x = (is - A)^(-1) y on the data grids, with its interface constants.
@@ -253,27 +340,19 @@ class ClosedFormResolvent:
         large terms as mantissa ratios with log-scale subtraction.  The wave
         derivative is returned analytically (u_prime), not by differencing,
         so the state norm uses the exact H^1 seminorm of the closed form.
+        The one-row case of ``solve_rows``.
         """
         if y.variant is not BoundaryVariant.NEUMANN:
             raise VariantError("the closed-form resolvent applies to the Neumann variant only")
-        s, z, det = self.s, self.z, self.det
-        wave, heat = self.particular_wave(y), self.particular_heat(y)
-        (u_vals, u_ders), (w_vals, w_ders) = wave, heat
-        p = complex(y.u[-1]) + 1j * s * u_vals[-1] + w_vals[0]
-        q = -u_ders[-1] - w_ders[0]
-        a = ((z * self._cosh_hat * p - self._sinh_hat * q) / det.mantissa) * math.exp(
-            z.real - det.log_scale
-        )
-        b = ((-s * math.sin(s) * p + 1j * s * math.cos(s) * q) / det.mantissa) * math.exp(
-            -det.log_scale
-        )
-        u = a * self._cos - u_vals
-        u_prime = -s * a * self._sin - u_ders
-        w = -b * self._sinh + w_vals
+        _check_segment("wave", y.u, self._xw)
+        _check_segment("heat", y.w, self._xh)
+        (u, v, w, u_prime), a, b, rhs, wave, heat = self.solve_rows(y.u[None], y.v[None], y.w[None])
         x = StateVector(
-            u=u, v=1j * s * u - y.u, w=w, variant=BoundaryVariant.NEUMANN, u_prime=u_prime
+            u=u[0], v=v[0], w=w[0], variant=BoundaryVariant.NEUMANN, u_prime=u_prime[0]
         )
-        return ResolventSolution(x, a, b, np.array([p, q], dtype=complex), wave, heat)
+        return ResolventSolution(
+            x, a[0], b[0], rhs[0], (wave[0][0], wave[1][0]), (heat[0][0], heat[1][0])
+        )
 
 
 def apply_resolvent(s: float, y: StateVector) -> StateVector:
@@ -367,16 +446,30 @@ def resolvent_norm_sampled(
 
     Maximizes ||x||_X / ||y||_X over ``trials`` draws of
     ``ClosedFormResolvent.random_triple``; an independent code path from
-    the matrix-based estimate.  One resolvent serves every trial.
+    the matrix-based estimate.  One resolvent serves every trial.  The
+    trials are drawn, solved and normed as stacked rows, in chunks of at
+    most ``_STACK_ENTRIES`` node values per array, and each keeps the draw
+    and the ratio it has alone.  A non-finite ratio raises
+    OverflowEvaluationError naming its trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     resolvent = ClosedFormResolvent(s, grid.n_wave, grid.n_heat)
-    best = 0.0
-    for _ in range(trials):
-        y = resolvent.random_triple(rng)
-        best = max(best, resolvent.solve(y).state.norm_X / y.norm_X)
-    return best
+    chunk = max(1, _STACK_ENTRIES // (max(grid.n_wave, grid.n_heat) + 1))
+    ratios = []
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite ratios raise below
+        for done in range(0, trials, chunk):
+            f, g, h = resolvent.random_rows(rng, min(chunk, trials - done))
+            (u, v, w, u_prime), *_ = resolvent.solve_rows(f, g, h)
+            ratios.append(_norm_X(u, v, w, u_prime) / _norm_X(f, g, h))
+    ratios = np.concatenate(ratios)
+    bad = np.flatnonzero(~np.isfinite(ratios))
+    if bad.size:
+        raise OverflowEvaluationError(
+            f"sampled resolvent norm at s = {s:g}: trial {bad[0]} of {trials} "
+            f"gave the ratio {ratios[bad[0]]}"
+        )
+    return float(ratios.max())
 
 
 def snap_to_resonance(disc: DiscreteGenerator, s_target: float) -> tuple[float, float]:

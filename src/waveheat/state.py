@@ -30,14 +30,35 @@ def heat_nodes(n_heat: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_heat + 1)
 
 
-def _trapz_sq(values: np.ndarray, h: float) -> float:
+def _trapz_sq(values: np.ndarray, h: float) -> np.ndarray:
+    """h times the trapezoidal sum of |values|^2, along the last axis."""
     sq = np.abs(values) ** 2
-    return float(h * (sq.sum() - 0.5 * sq[0] - 0.5 * sq[-1]))
+    return h * (sq.sum(axis=-1) - 0.5 * sq[..., 0] - 0.5 * sq[..., -1])
 
 
-def _diff_sq(values: np.ndarray, h: float) -> float:
-    d = np.diff(values) / h
-    return float(h * np.sum(np.abs(d) ** 2))
+def _diff_sq(values: np.ndarray, h: float) -> np.ndarray:
+    d = np.diff(values, axis=-1) / h
+    return h * np.sum(np.abs(d) ** 2, axis=-1)
+
+
+def _energy(u, v, w, u_prime=None) -> np.ndarray:
+    """(1/2)(||u'||^2 + ||v||^2 + ||w||^2) of node arrays, along the last axis.
+
+    ``u_prime`` (exact u' at the wave nodes) gives the H^1 seminorm by
+    trapezoidal quadrature; without it, difference quotients of u do.
+    """
+    hw, hh = 1.0 / (u.shape[-1] - 1), 1.0 / (w.shape[-1] - 1)
+    seminorm_sq = _diff_sq(u, hw) if u_prime is None else _trapz_sq(u_prime, hw)
+    return 0.5 * (seminorm_sq + _trapz_sq(v, hw) + _trapz_sq(w, hh))
+
+
+def _norm_X(u, v, w, u_prime=None) -> np.ndarray:
+    """(||u||_{H^1}^2 + ||v||^2 + ||w||^2)^(1/2) of node arrays, along the last axis.
+
+    Rows of stacked arrays get the bits of their one-row norms.
+    """
+    hw = 1.0 / (u.shape[-1] - 1)
+    return np.sqrt(2.0 * _energy(u, v, w, u_prime) + _trapz_sq(u, hw))
 
 
 @dataclass
@@ -82,25 +103,15 @@ class StateVector:
     def xi_heat(self) -> np.ndarray:
         return heat_nodes(self.n_heat)
 
-    def _useminorm_sq(self) -> float:
-        hw = 1.0 / self.n_wave
-        if self.u_prime is not None:
-            return _trapz_sq(self.u_prime, hw)
-        return _diff_sq(self.u, hw)
-
     @property
     def energy(self) -> float:
         """(1/2)(||u'||^2 + ||v||^2 + ||w||^2)."""
-        hw, hh = 1.0 / self.n_wave, 1.0 / self.n_heat
-        return 0.5 * (
-            self._useminorm_sq() + _trapz_sq(self.v, hw) + _trapz_sq(self.w, hh)
-        )
+        return float(_energy(self.u, self.v, self.w, self.u_prime))
 
     @property
     def norm_X(self) -> float:
         """Full state norm: (||u||_{H^1}^2 + ||v||^2 + ||w||^2)^(1/2)."""
-        hw = 1.0 / self.n_wave
-        return float(np.sqrt(2.0 * self.energy + _trapz_sq(self.u, hw)))
+        return float(_norm_X(self.u, self.v, self.w, self.u_prime))
 
     def minus(self, other: "StateVector") -> "StateVector":
         up = None

@@ -158,6 +158,23 @@ class TestResolventCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_non_finite_sampled_trial_exits_two(self, tmp_path, capsys, monkeypatch):
+        from waveheat.resolvent import ClosedFormResolvent
+
+        draw = ClosedFormResolvent.random_rows
+
+        def poisoned(self, rng, rows):
+            f, g, h = draw(self, rng, rows)
+            h[-1] = np.inf
+            return f, g, h
+
+        monkeypatch.setattr(ClosedFormResolvent, "random_rows", poisoned)
+        code = main(["resolvent", "--s-min", "10", "--s-max", "20", "--s-points", "2",
+                     "--trials", "3", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "trial 2 of 3" in err and "Traceback" not in err
+
     def test_bad_frequency_range_exits_one(self, tmp_path):
         assert main(["resolvent", "--s-min", "1", "--out", str(tmp_path)]) == 1
 

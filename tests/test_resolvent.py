@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from waveheat.errors import (
 from waveheat.resolvent import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _STACK_ENTRIES,
     ClosedFormResolvent,
     _KernelIntegrals,
     _norm_operator,
@@ -557,6 +559,78 @@ class TestNorms:
                 y = cf.random_triple(rng)
                 for got, expected in zip((y.u, y.v, y.w), triple_by_18_calls(rng_18)):
                     assert got.tobytes() == expected.tobytes()
+
+    # one chunk holds 120 rows on 16 cells (5 string panels per cell at
+    # s = 100), 10 on the verify grid, 3 on (600, 40) and 1 on (2048, 24)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        trials=st.integers(1, 50),
+        s=st.floats(2.5, 1000.0),
+        grid=st.sampled_from([GridSpec(16, 16), GridSpec(199, 177), GridSpec(600, 40),
+                              GridSpec(2048, 24)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_trials_are_the_trials_one_at_a_time(self, trials, s, grid, seed):
+        rng, rng_1 = np.random.default_rng(seed), np.random.default_rng(seed)
+        sampled = resolvent_norm_sampled(s, trials, grid, rng)
+        cf, ratios = ClosedFormResolvent(s, grid.n_wave, grid.n_heat), []
+        for _ in range(trials):
+            y = cf.random_triple(rng_1)
+            ratios.append(cf.solve(y).state.norm_X / y.norm_X)
+        assert sampled == max(ratios)
+        # the draws of 60 trials normals leave the generator where later draws expect it
+        after = np.random.default_rng(seed)
+        after.standard_normal(60 * trials)
+        assert rng.bit_generator.state == after.bit_generator.state == rng_1.bit_generator.state
+
+    @pytest.mark.parametrize("s, rows", [(10.0, 25), (50.0, 10), (1000.0, 1)])
+    def test_stacked_calls_stay_within_the_budget(self, s, rows, monkeypatch):
+        # a kernel call holds rows of at most _STACK_ENTRIES node values in
+        # all, or one row longer than that
+        grid, shapes, kernel = required_grid(s, 2.5), [], _KernelIntegrals.__call__
+
+        def recording(self, d):
+            shapes.append(d.shape)
+            return kernel(self, d)
+
+        monkeypatch.setattr(_KernelIntegrals, "__call__", recording)
+        resolvent_norm_sampled(s, 40, grid, np.random.default_rng(0))
+        assert all(n * nodes <= _STACK_ENTRIES or n == 1 for n, nodes in shapes)
+        assert max(n for n, _ in shapes) == rows
+        assert sum(n for n, _ in shapes) == 2 * 40  # the string and the rod kernel
+
+    def test_interface_constants_stay_scalar(self):
+        # At s = 3000 the numerator of a cancels about 10 digits, and array
+        # arithmetic rounds complex products differently from scalar
+        # arithmetic: it would move a in its seventh digit.
+        s = 3000.0
+        grid = required_grid(s, 2.5)
+        cf = ClosedFormResolvent(s, grid.n_wave, grid.n_heat)
+        f, g, h = cf.random_rows(np.random.default_rng(18), 4)
+        _, a, b, rhs, _, _ = cf.solve_rows(f, g, h)
+        z, det = cf.z, cf.det
+        for row, (p, q) in enumerate(rhs):
+            sol = cf.solve(StateVector(u=f[row], v=g[row], w=h[row]))
+            assert a[row].tobytes() == sol.a.tobytes() and b[row].tobytes() == sol.b.tobytes()
+            scalar_a = ((z * cf._cosh_hat * p - cf._sinh_hat * q) / det.mantissa) * math.exp(
+                z.real - det.log_scale)
+            assert a[row].tobytes() == scalar_a.tobytes()
+
+    @pytest.mark.parametrize("trial, value", [(0, np.nan), (1, np.inf), (2, np.nan)])
+    def test_non_finite_trial_raises(self, trial, value, monkeypatch):
+        # the maximum over the other trials used to hide it
+        draw = ClosedFormResolvent.random_rows
+
+        def poisoned(self, rng, rows):
+            f, g, h = draw(self, rng, rows)
+            f[trial, 5] = value
+            return f, g, h
+
+        monkeypatch.setattr(ClosedFormResolvent, "random_rows", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowEvaluationError, match=f"trial {trial} of 3 gave the ratio"):
+                resolvent_norm_sampled(20.0, 3, GridSpec(32, 32), np.random.default_rng(0))
 
     @pytest.mark.parametrize("s, error", [
         (0.0, DegenerateInputError),
