@@ -560,8 +560,9 @@ class TestNorms:
                 for got, expected in zip((y.u, y.v, y.w), triple_by_18_calls(rng_18)):
                     assert got.tobytes() == expected.tobytes()
 
-    # one chunk holds 120 rows on 16 cells (5 string panels per cell at
-    # s = 100), 10 on the verify grid, 3 on (600, 40) and 1 on (2048, 24)
+    # one chunk holds 120 rows on 16 cells (whose string kernel needs up to
+    # 50 panels per cell), 10 on the verify grid, 3 on (600, 40) and 1 on
+    # (2048, 24)
     @settings(max_examples=25, deadline=None)
     @given(
         trials=st.integers(1, 50),
