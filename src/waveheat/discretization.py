@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, zgttrf, zgttrs, zpttrs
 
 from .characteristic import BoundaryVariant, ScaledValue
@@ -81,11 +80,10 @@ class DiscreteGenerator:
     the (sub, main, sup) rows of the wave and heat stiffness, ``mass_w``
     the wave trapezoid weights and ``mass_q`` the lumped mass of q.
 
-    ``A`` and the CSR matrices ``W_E``, of the energy seminorm (twice the
-    energy), and ``W_diss``, of the heat-gradient dissipation form, are
-    derived on first use; both are real symmetric.  The Gram matrix
-    W = diag(K_w + diag(mass_w), diag(mass_q)) of the full state norm is
-    positive definite and is used only through its factor
+    Every matrix is applied from these bands, and none is formed: the
+    energy seminorm W_E = diag(K_w, M) (twice the energy) in ``energy``,
+    and the Gram matrix W = diag(K_w + diag(mass_w), diag(mass_q)) of the
+    full state norm, which is positive definite, through its factor
     (``gram_solver``, ``gram_root``).
     """
 
@@ -105,29 +103,6 @@ class DiscreteGenerator:
     @property
     def dim(self) -> int:
         return self.n_u + len(self.mass_q)
-
-    @cached_property
-    def A(self) -> sp.csr_matrix:
-        nu = self.n_u
-        rows = np.zeros((self.dim, 7))
-        rows[:nu, 6] = 1.0  # u' = v
-        rows[nu + 1 : 2 * nu, 0], rows[nu : 2 * nu, 1] = self.p_sub, self.p_main
-        rows[nu : 2 * nu - 1, 2] = self.p_sup
-        rows[nu + 1 :, 3], rows[nu:, 4], rows[nu:-1, 5] = self.q_sub, self.q_main, self.q_sup
-        return _csr_from_diagonals(rows, (-nu - 1, -nu, 1 - nu, -1, 0, 1, nu))
-
-    @cached_property
-    def W_E(self) -> sp.csr_matrix:
-        rows = np.zeros((self.dim, 3))
-        rows[: self.n_u] = self.K_w
-        rows[self.n_u :, 1] = self.mass_q
-        return _csr_from_diagonals(rows, (-1, 0, 1))
-
-    @cached_property
-    def W_diss(self) -> sp.csr_matrix:
-        rows = np.zeros((self.dim, 3))
-        rows[2 * self.n_u - 1 :] = self.K_h  # from the interface slot on
-        return _csr_from_diagonals(rows, (-1, 0, 1))
 
     @property
     def n_u(self) -> int:
@@ -161,9 +136,21 @@ class DiscreteGenerator:
         assert len(u) == n_w + 1 and len(w) == n_h + 1
         return StateVector(u=u, v=v, w=w, variant=self.variant)
 
-    def energy(self, z: np.ndarray) -> float:
-        """Half the energy seminorm z^T W_E z of a real state z."""
-        return 0.5 * float(z @ (self.W_E @ z))
+    def energy(self, z: np.ndarray):
+        """Half the energy seminorm z^T W_E z of a real state (a float) or of each row of a block.
+
+        W_E z adds the sub, main and super terms of W_E = diag(K_w, M) to
+        zeros in CSR row order, and each row's dot is one BLAS dot (``np.vecdot``
+        calls the one ``@`` does): the value is bitwise that of the CSR form.
+        """
+        nu, K_w = self.n_u, self.K_w
+        w_z = np.zeros_like(z)
+        w_z[..., 1:nu] += K_w[1:, 0] * z[..., : nu - 1]
+        w_z[..., :nu] += K_w[:, 1] * z[..., :nu]
+        w_z[..., : nu - 1] += K_w[:-1, 2] * z[..., 1:nu]
+        w_z[..., nu:] += self.mass_q * z[..., nu:]
+        energy = 0.5 * np.vecdot(z, w_z)
+        return float(energy) if z.ndim == 1 else energy
 
     @cached_property
     def _gram_factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -227,40 +214,60 @@ class DiscreteGenerator:
 
         return times_f, times_f_t
 
-    def _factor_t(self, sigma: complex, guard: bool):
-        """LAPACK gttrf factors (dl, d, du, du2, ipiv) of T(sigma) and gttrf's info.
+    def _factor_t(self, sigma, guard: bool) -> list:
+        """gttrf's factors (dl, d, du, du2, ipiv) and info of T at one shift, or per shift.
 
-        With ``guard`` a shift that is singular to working precision raises
-        SolveFailureError: gttrf meets an exactly zero pivot, or the smallest
-        pivot is at most n eps times the largest entry of T (n = dim T).
+        The bands of a 1-D complex array of shifts are one broadcast array, a
+        row per shift.  With ``guard`` a shift that is singular to working
+        precision raises SolveFailureError: gttrf meets an exactly zero pivot,
+        or the smallest pivot is at most dim(T) eps times T's largest entry.
         """
-        nu = self.n_u
+        nu, many = self.n_u, isinstance(sigma, np.ndarray)
+        shifts = sigma[:, None] if many else sigma
         # (sigma I - A_qq) D with D = diag(sigma I_u, I_w): sigma scales the first nu columns
-        main = sigma - self.q_main
-        main[:nu] *= sigma
-        main[:nu] -= self.p_main
-        sub, sup = (-self.q_sub).astype(complex), (-self.q_sup).astype(complex)
-        sub[:nu] *= sigma
-        sup[: nu - 1] *= sigma
-        sub[: nu - 1] -= self.p_sub
-        sup[: nu - 1] -= self.p_sup
-        dl, d, du, du2, ipiv, info = zgttrf(sub, main, sup)
-        if guard:
-            largest = max(np.abs(sub).max(), np.abs(main).max(), np.abs(sup).max())
-            if info > 0 or np.abs(d).min() <= len(main) * np.finfo(float).eps * largest:
-                raise SolveFailureError(f"sigma I - A_h is singular at sigma = {sigma}")
-        return (dl, d, du, du2, ipiv), info
+        main = shifts - self.q_main
+        main[..., :nu] *= shifts
+        main[..., :nu] -= self.p_main
+        sub = np.empty(main.shape[:-1] + self.q_sub.shape, complex)
+        sup = np.empty_like(sub)
+        sub[...], sup[...] = -self.q_sub, -self.q_sup
+        sub[..., :nu] *= shifts
+        sup[..., : nu - 1] *= shifts
+        sub[..., : nu - 1] -= self.p_sub
+        sup[..., : nu - 1] -= self.p_sup
+        factors = []
+        for shift, *bands in zip(sigma, sub, main, sup) if many else [(sigma, sub, main, sup)]:
+            dl, d, du, du2, ipiv, info = zgttrf(*bands)
+            if guard and (info > 0 or np.abs(d).min() <= len(d) * np.finfo(float).eps
+                          * max(np.abs(band).max() for band in bands)):
+                raise SolveFailureError(f"sigma I - A_h is singular at sigma = {shift}")
+            factors.append(((dl, d, du, du2, ipiv), info))
+        return factors
 
-    def _det_t(self, sigma: complex, guard: bool = False) -> ScaledValue:
-        """det T(sigma) = det(sigma I - A_h) at one point, from gttrf's pivots."""
-        (_, d, _, _, ipiv), info = self._factor_t(sigma, guard)
-        if info > 0:  # an exactly zero pivot: sigma is a root
-            return ScaledValue(0j, 0.0)
+    def _det_t(self, sigma, guard: bool = False) -> ScaledValue:
+        """det T(sigma) = det(sigma I - A_h) from gttrf's pivots, reduced along the last axis.
+
+        At a root, where gttrf meets an exactly zero pivot, mantissa and log scale are 0.
+        """
+        factors = self._factor_t(sigma, guard)
+        if many := isinstance(sigma, np.ndarray):
+            d, ipiv = (np.array([lu[k] for lu, _ in factors]).reshape(len(factors), -1)
+                       for k in (1, 4))
+            root = np.array([info > 0 for _, info in factors], dtype=bool)
+            d[root] = 1.0
+        else:
+            [((_, d, _, _, ipiv), info)] = factors
+            if info > 0:
+                return ScaledValue(0j, 0.0)
         mag = np.abs(d)
         # gttrf's ipiv[i] (1-based) is i + 1, or i + 2 after an interchange
-        swaps = int(ipiv.sum()) - len(ipiv) * (len(ipiv) + 1) // 2
-        return ScaledValue(complex(np.prod(d / mag)) * (-1) ** swaps,
-                           float(np.log(mag).sum()))
+        n = d.shape[-1]
+        mantissa = (d / mag).prod(-1) * (-1.0) ** (ipiv.sum(-1) - n * (n + 1) // 2)
+        log_scale = np.log(mag).sum(-1)
+        if not many:
+            return ScaledValue(complex(mantissa), float(log_scale))
+        mantissa[root], log_scale[root] = 0.0, 0.0
+        return ScaledValue(mantissa, log_scale)
 
     def char_det(self, sigma) -> ScaledValue:
         """The discrete characteristic determinant det(sigma I - A_h), scaled.
@@ -276,9 +283,7 @@ class DiscreteGenerator:
         if np.ndim(sigma) == 0:
             return self._det_t(complex(sigma))
         points = np.asarray(sigma, dtype=complex)
-        values = [self._det_t(p) for p in points.ravel()]
-        return ScaledValue(np.array([v.mantissa for v in values]).reshape(points.shape),
-                           np.array([v.log_scale for v in values]).reshape(points.shape))
+        return ScaledValue(*(v.reshape(points.shape) for v in self._det_t(points.ravel())))
 
     def eigenvalues_near(self, seeds) -> np.ndarray:
         """One discrete eigenvalue per seed: a secant root of ``char_det``.
@@ -333,8 +338,8 @@ class DiscreteGenerator:
         circle.  The node count starts at 16 and is doubled until two
         successive levels give the same count, up to CONTOUR_NODE_CAP nodes.
         Each level keeps the mantissas of the level before, its even nodes,
-        and evaluates only its odd nodes: every node is one gttrf
-        factorization, made once.  det(sigma I - A_h) is a polynomial: there
+        and evaluates only its odd nodes, as one array: every node is one
+        gttrf factorization, made once.  det(sigma I - A_h) is a polynomial: there
         is no branch cut.  A node where gttrf meets a zero pivot raises
         ContourTooCloseError.
         """
@@ -382,7 +387,7 @@ class ShiftedSolve:
 
     def __init__(self, disc: DiscreteGenerator, sigma: complex):
         self._n_u, self.sigma = disc.n_u, complex(sigma)
-        self._lu, _ = disc._factor_t(self.sigma, guard=True)
+        [(self._lu, _)] = disc._factor_t(self.sigma, guard=True)
         nu = self._n_u
         # (sigma I - A_qq) (y_u, 0) reads these bands and reaches row n_u
         self._lift = self.sigma - disc.q_main[:nu]
@@ -432,22 +437,6 @@ class ShiftedSolve:
         return out.ravel()
 
 
-def _csr_from_diagonals(rows: np.ndarray, offsets) -> sp.csr_matrix:
-    """Canonical CSR of the square matrix with rows[i, k] at (i, i + offsets[k]).
-
-    The offsets increase, so the nonzero values in row-major order are each
-    row's entries in column order, and no sort is needed; zeros are not stored.
-    """
-    dim, width = rows.shape
-    flat = np.flatnonzero(rows != 0)
-    row = flat // width
-    cols = row + np.asarray(offsets)[flat - row * width]
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
-    return sp.csr_matrix((rows.ravel()[flat], cols.astype(np.int32), indptr),
-                         shape=(dim, dim))
-
-
 def _stiffness_rows(main: np.ndarray, h: float) -> np.ndarray:
     """(sub, main, sup) per row of a lumped stiffness with off-diagonals -1/h."""
     rows = np.zeros((len(main), 3))
@@ -467,7 +456,9 @@ def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
     from that slot on:
 
         A = [[0, (I, 0)], [-M^-1 (K_w; 0), -M^-1 K_h]],   W_diss = diag(0, K_h),
-        W = diag(K_w + diag(mass_w), M),   W_E = diag(K_w, M).
+        W = diag(K_w + diag(mass_w), M),   W_E = diag(K_w, M),
+
+    with W_diss the heat-gradient dissipation form.
 
     Every band value of A_qu and A_qq is one product of a stiffness value
     with -1/mass_q.
@@ -491,7 +482,7 @@ def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
     q = np.zeros((len(mass_q), 3))  # A_qq, -M^-1 K_h from the interface slot on
     q[nu - 1 :] = neg_inv[nu - 1 :, None] * K_h
     # the product with K_h's zero sub corner is -0.0; + 0.0 gives the +0.0
-    # that A's CSR form, which stores no zeros, reads back at that slot
+    # that a CSR form of A, which stores no zeros, reads back at that slot
     q += 0.0
     return DiscreteGenerator(q[1:, 0], q[:, 1], q[:-1, 2], p[1:, 0], p[:, 1], p[:-1, 2],
                              K_w, mass_w, K_h, mass_q, grid, variant)

@@ -35,7 +35,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .characteristic import (
     BoundaryVariant,
@@ -397,8 +396,10 @@ def arpack_start(dim: int) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def _norm_operator(s: float, disc: DiscreteGenerator) -> spla.LinearOperator:
-    """F^T B^(-1) W^(-1) B^(-H) F with B = is I - A_h and W = F F^T: Hermitian, PSD."""
+def _norm_operator(s: float, disc: DiscreteGenerator):
+    """F^T B^(-1) W^(-1) B^(-H) F, B = is I - A_h, W = F F^T: a Hermitian PSD LinearOperator."""
+    import scipy.sparse.linalg as spla  # on use: ``import waveheat`` loads no scipy.sparse
+
     shifted = ShiftedSolve(disc, 1j * s)
     w_solve = disc.gram_solver()
     times_f, times_f_t = disc.gram_root()
@@ -427,6 +428,8 @@ def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
     and halfway between two resonances the basis still converges within
     about 15 applications of the operator.
     """
+    import scipy.sparse.linalg as spla
+
     if s == 0:
         raise DegenerateInputError("frequency s must be nonzero")
     _check_resolution(s, disc.grid)

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 ENERGY_FLOOR_RATIO = 1e-12
-# midpoints buffered per dissipation evaluation
+# most midpoints buffered per dissipation evaluation
 BLOCK_STEPS = 64
 
 
@@ -151,18 +151,18 @@ class CrankNicolsonStepper:
 
 
 class _HeatDissipation:
-    """dt times the dissipation form summed over a block of midpoints.
+    """dt times the dissipation form of each midpoint of a block, summed per output interval.
 
     W_diss is the heat stiffness K_h from the interface slot 2 n_u - 1 on
     and zero elsewhere, so the form is applied to that heat slice m of each
     midpoint alone.  On the slice the form is c D^T D, with
     (D m)[i] = m[i+1] - m[i], the eliminated end node taken as 0, and
     c > 0, which is checked exactly on K_h's bands at construction
-    (SolveFailureError otherwise).  So each block is summed as c times its
-    squared jumps, all nonnegative terms, by numpy reductions, whose result
-    does not depend on the BLAS thread count.  The call is also the
-    finiteness check of the trajectory: a non-finite midpoint makes the sum
-    non-finite, and the state z is checked in full.
+    (SolveFailureError otherwise).  So the dissipation of one step is
+    dt c (|D m|^2 + m_end^2), all nonnegative terms: one einsum row per
+    midpoint, and ``np.add.reduceat`` sums the rows of each interval.
+    Both are numpy reductions, whose result does not depend on the BLAS
+    thread count.
     """
 
     def __init__(self, disc: DiscreteGenerator):
@@ -177,26 +177,26 @@ class _HeatDissipation:
             raise SolveFailureError(
                 "dissipation form on its heat slice is not c D^T D of the heat jumps, c > 0")
 
-    def __call__(self, mids: np.ndarray, z: np.ndarray, dt: float) -> float:
+    def __call__(self, mids: np.ndarray, starts, dt: float) -> np.ndarray:
+        """The sums over the rows starts[j] up to starts[j + 1] (the last: to the end)."""
         heat = mids[:, self._lo :]
         jumps = heat[:, 1:] - heat[:, :-1]
         end = heat[:, -1]  # the jump to the eliminated end node
-        squares = np.einsum("ij,ij->", jumps, jumps) + np.einsum("i,i->", end, end)
-        total = dt * self._c * float(squares)
-        if not (math.isfinite(total) and np.all(np.isfinite(z))):
-            raise SolveFailureError("non-finite state after implicit solve")
-        return total
+        squares = np.einsum("ij,ij->i", jumps, jumps) + end * end
+        return dt * self._c * np.add.reduceat(squares, starts)
 
 
 def run(x0: StateVector, config: SimulationConfig) -> EnergySeries:
     """Propagate x0 to t_max, recording energy, dissipation and phi.
 
-    The per-interval dissipation is accumulated from the midpoint states,
-    for which the trapezoidal rule satisfies the energy balance exactly.
-    The stepper writes each midpoint into a row of a block buffer, and the
-    dissipation form is applied once per block of at most BLOCK_STEPS
-    steps.  phi is one dot product with ``phi_weights``.  Complex data
-    raise ValueError: the generator is real, and only real states are stepped.
+    Steps go a block of midpoints at a time: whole output intervals,
+    BLOCK_STEPS - BLOCK_STEPS % stride steps, or for a longer stride up to
+    BLOCK_STEPS steps and the next output.  Per block the per-step
+    dissipation, exact for the trapezoidal rule, is summed per interval,
+    and the output energies come from one pass over the bands.  phi is one
+    dot product with ``phi_weights`` per output; a non-finite state makes
+    it non-finite and raises SolveFailureError before that output is
+    recorded.  Complex data raise ValueError: only real states are stepped.
     """
     disc = assemble(config.grid, config.variant)
     stepper = CrankNicolsonStepper(disc, config.dt)
@@ -207,28 +207,33 @@ def run(x0: StateVector, config: SimulationConfig) -> EnergySeries:
     weights = phi_weights(disc)
     n_steps = int(round(config.t_max / config.dt))
     stride = config.output_stride
-    mids = np.empty((min(stride, BLOCK_STEPS), disc.dim))
+    mids = np.empty((BLOCK_STEPS, disc.dim))
+    states = np.empty((max(BLOCK_STEPS // stride, 1), disc.dim))
     dissipation_of = _HeatDissipation(disc)
 
-    times = [0.0]
-    energies = [disc.energy(z)]
-    dissipation = [0.0]
-    phis = [weights @ z]
-    acc = 0.0
-    filled = 0
-    for i in range(1, n_steps + 1):
-        stepper.advance(z, mids[filled])
-        filled += 1
-        output = i % stride == 0 or i == n_steps
-        if output or filled == len(mids):
-            acc += dissipation_of(mids[:filled], z, config.dt)
-            filled = 0
-        if output:
-            times.append(i * config.dt)
-            energies.append(disc.energy(z))
-            dissipation.append(acc)
-            phis.append(weights @ z)
-            acc = 0.0
+    times, energies, dissipation, phis = [0.0], [disc.energy(z)], [0.0], [weights @ z]
+    acc, done = 0.0, 0  # acc: the dissipation since the last output
+    with np.errstate(invalid="ignore"):  # phi of a non-finite state meets inf * 0
+        while done < n_steps:
+            stop = (done + BLOCK_STEPS) // stride * stride  # the last output in reach
+            stop = min(stop if stop > done else done + BLOCK_STEPS, n_steps)
+            cuts = []  # block rows that end an output interval; the last ends the block
+            for i in range(done + 1, stop + 1):
+                stepper.advance(z, mids[i - done - 1])
+                if i % stride == 0 or i == n_steps:
+                    phi = weights @ z
+                    if not math.isfinite(phi):
+                        raise SolveFailureError("non-finite state after implicit solve")
+                    states[len(cuts)] = z
+                    cuts.append(i - done)
+                    times.append(i * config.dt)
+                    phis.append(phi)
+            sums = dissipation_of(mids[: stop - done], [0, *cuts[:-1]], config.dt)
+            sums[0] += acc
+            acc = 0.0 if cuts else sums[0]
+            dissipation.extend(sums[: len(cuts)])
+            energies.extend(disc.energy(states[: len(cuts)]))
+            done = stop
     return EnergySeries(
         times=np.asarray(times),
         energies=np.asarray(energies),

@@ -76,6 +76,48 @@ def gram_matrix(gen) -> sp.csr_matrix:
     return sp.block_diag([k_w, sp.diags(gen.mass_q)], format="csr")
 
 
+def _csr_from_diagonals(rows: np.ndarray, offsets) -> sp.csr_matrix:
+    """Canonical CSR of the square matrix with rows[i, k] at (i, i + offsets[k]).
+
+    The offsets increase, so the nonzero values in row-major order are each
+    row's entries in column order, and no sort is needed; zeros are not stored.
+    """
+    dim, width = rows.shape
+    flat = np.flatnonzero(rows != 0)
+    row = flat // width
+    cols = row + np.asarray(offsets)[flat - row * width]
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
+    return sp.csr_matrix((rows.ravel()[flat], cols.astype(np.int32), indptr),
+                         shape=(dim, dim))
+
+
+def generator_matrix(gen) -> sp.csr_matrix:
+    """The generator A_h in CSR form, from its bands: u' = v, then A_qu and A_qq in the q rows."""
+    nu = gen.n_u
+    rows = np.zeros((gen.dim, 7))
+    rows[:nu, 6] = 1.0  # u' = v
+    rows[nu + 1 : 2 * nu, 0], rows[nu : 2 * nu, 1] = gen.p_sub, gen.p_main
+    rows[nu : 2 * nu - 1, 2] = gen.p_sup
+    rows[nu + 1 :, 3], rows[nu:, 4], rows[nu:-1, 5] = gen.q_sub, gen.q_main, gen.q_sup
+    return _csr_from_diagonals(rows, (-nu - 1, -nu, 1 - nu, -1, 0, 1, nu))
+
+
+def energy_matrix(gen) -> sp.csr_matrix:
+    """W_E = diag(K_w, diag(mass_q)), the energy seminorm (twice the energy), in CSR form."""
+    rows = np.zeros((gen.dim, 3))
+    rows[: gen.n_u] = gen.K_w
+    rows[gen.n_u :, 1] = gen.mass_q
+    return _csr_from_diagonals(rows, (-1, 0, 1))
+
+
+def dissipation_matrix(gen) -> sp.csr_matrix:
+    """W_diss, the heat stiffness K_h from the interface slot 2 n_u - 1 on, in CSR form."""
+    rows = np.zeros((gen.dim, 3))
+    rows[2 * gen.n_u - 1 :] = gen.K_h
+    return _csr_from_diagonals(rows, (-1, 0, 1))
+
+
 def smooth_triple(rng):
     """Random quartic data; the returned function samples it on (n_w, n_h) node grids."""
     pf, pg, ph = (np.polynomial.Polynomial(rng.standard_normal(5)) for _ in range(3))

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -322,3 +325,14 @@ class TestVerifyCommand:
             err = capsys.readouterr().err
             assert code == 1
             assert err.count("\n") == 1 and "nmax" in err
+
+
+def test_import_loads_no_sparse_module():
+    # the discrete norm imports scipy.sparse.linalg when it runs, not before
+    code = ("import sys, waveheat.cli; "
+            "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules])")
+    src = str(Path(waveheat.characteristic.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -22,7 +22,13 @@ from waveheat.resolvent import required_grid, resolvent_norm_discrete, snap_to_r
 from waveheat.simulator import CrankNicolsonStepper
 from waveheat.state import StateVector, heat_nodes, wave_nodes
 
-from conftest import NEUMANN_ROOTS, gram_matrix
+from conftest import (
+    NEUMANN_ROOTS,
+    dissipation_matrix,
+    energy_matrix,
+    generator_matrix,
+    gram_matrix,
+)
 
 NEU = BoundaryVariant.NEUMANN
 DIR = BoundaryVariant.DIRICHLET
@@ -43,12 +49,19 @@ class TestGridSpec:
 
 
 class TestAssembly:
-    def test_kernel_vector_exact(self):
-        assert checks.kernel_vector(assemble(GridSpec(64, 48), NEU)).passed
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_kernel_vector_exact(self, variant):
+        # the check's band sums against the CSR product; the clamped Dirichlet
+        # string has no constant stationary state
+        gen = assemble(GridSpec(64, 48), variant)
+        ones = (np.arange(gen.dim) < gen.n_u).astype(float)
+        check = checks.kernel_vector(gen)
+        assert check.value == np.abs(generator_matrix(gen) @ ones).max()
+        assert check.passed is (variant is NEU)
 
     def test_kernel_is_one_dimensional(self):
         gen = assemble(GridSpec(32, 32), NEU)
-        sv = np.linalg.svd(gen.A.toarray(), compute_uv=False)
+        sv = np.linalg.svd(generator_matrix(gen).toarray(), compute_uv=False)
         assert sv[-1] < 1e-12 * sv[0]
         assert sv[-2] > 1e-4 * sv[0]
 
@@ -89,7 +102,7 @@ class TestAssembly:
 
         for variant in (NEU, DIR):
             gen = assemble(GridSpec(24, 16), variant)
-            dense = scipy.linalg.eigvals(gen.A.toarray())
+            dense = scipy.linalg.eigvals(generator_matrix(gen).toarray())
             for target in (0.5 + 3j, -2.0 + 10j, NEUMANN_ROOTS[2]):
                 order = np.argsort(np.abs(dense - target))
                 expected = dense[order][:4]
@@ -110,10 +123,11 @@ class TestAssembly:
     def test_exact_discrete_dissipativity(self, rng):
         for variant in (NEU, DIR):
             gen = assemble(GridSpec(48, 72), variant)
+            A, W_E, W_diss = generator_matrix(gen), energy_matrix(gen), dissipation_matrix(gen)
             for _ in range(10):
                 x = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
-                form = float(np.real(np.conj(x) @ (gen.W_E @ (gen.A @ x))))
-                diss = float(np.real(np.conj(x) @ (gen.W_diss @ x)))
+                form = float(np.real(np.conj(x) @ (W_E @ (A @ x))))
+                diss = float(np.real(np.conj(x) @ (W_diss @ x)))
                 assert diss >= 0
                 assert abs(form + diss) <= 1e-10 * max(abs(form), 1.0)
 
@@ -189,8 +203,10 @@ class TestBandAssembly:
     @example(variant=DIR, n_wave=300, n_heat=8)
     def test_matches_block_algebra_bitwise(self, variant, n_wave, n_heat):
         gen = assemble(GridSpec(n_wave, n_heat), variant)
+        builders = {"A": generator_matrix, "W": gram_matrix, "W_E": energy_matrix,
+                    "W_diss": dissipation_matrix}
         for name, ref in _block_assembly(gen.grid, variant).items():
-            got = gram_matrix(gen) if name == "W" else getattr(gen, name)
+            got = builders[name](gen)
             assert got.shape == ref.shape == (gen.dim, gen.dim)
             assert got.has_sorted_indices and np.all(got.data != 0), name
             assert np.array_equal(got.indptr, ref.indptr), name
@@ -206,7 +222,8 @@ class TestBandAssembly:
         # bytes, so that a -0.0 band value differs from an unstored entry
         gen = assemble(GridSpec(n_wave, n_heat), variant)
         nu, iface = gen.n_u, 2 * gen.n_u - 1
-        A, W, W_E, W_diss = gen.A, gram_matrix(gen), gen.W_E, gen.W_diss
+        A, W = generator_matrix(gen), gram_matrix(gen)
+        W_E, W_diss = energy_matrix(gen), dissipation_matrix(gen)
         pairs = {
             "q_sub": A.diagonal(-1)[nu:], "q_main": A.diagonal()[nu:],
             "q_sup": A.diagonal(1)[nu:], "p_sub": A.diagonal(-nu - 1)[: nu - 1],
@@ -229,7 +246,7 @@ class TestBandAssembly:
     @settings(max_examples=20, deadline=None)
     @given(variant=st.sampled_from([NEU, DIR]), n_wave=st.integers(8, 300),
            n_heat=st.integers(8, 300))
-    def test_solvers_leave_a_unformed(self, variant, n_wave, n_heat):
+    def test_solvers_form_no_matrix(self, variant, n_wave, n_heat):
         gen = assemble(GridSpec(n_wave, n_heat), variant)
         CrankNicolsonStepper(gen, gen.grid.h_wave / 4.0)
         ShiftedSolve(gen, 3.0 + 20j).solve(np.ones(gen.dim))
@@ -238,14 +255,15 @@ class TestBandAssembly:
         gen.gram_solver()(np.ones(gen.dim))
         times_f, times_f_t = gen.gram_root()
         times_f_t(times_f(np.ones(gen.dim)))
-        assert "A" not in gen.__dict__
+        gen.energy(np.ones((2, gen.dim)))
+        assert not any(sp.issparse(value) for value in vars(gen).values())
 
     @pytest.mark.parametrize("variant", [NEU, DIR])
-    def test_norm_leaves_w_and_a_unformed(self, variant):
+    def test_norm_forms_no_matrix(self, variant):
         gen = assemble(required_grid(45.0, factor=2.5), variant)
         s_eff, _ = snap_to_resonance(gen, 45.0)
         resolvent_norm_discrete(s_eff, gen)
-        assert "W" not in vars(gen) and "A" not in vars(gen)
+        assert not any(sp.issparse(value) for value in vars(gen).values())
 
 
 def _backward_error(B, x, y) -> float:
@@ -286,7 +304,7 @@ class TestShiftedSolve:
         if noise:
             gen = _band_noise(gen, rng, noise)
         y = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
-        B = (sigma * sp.identity(gen.dim) - gen.A).tocsr()
+        B = (sigma * sp.identity(gen.dim) - generator_matrix(gen)).tocsr()
         shifted = ShiftedSolve(gen, sigma)
         assert _backward_error(B, shifted.solve(y), y) <= 1e-10
         assert _backward_error(B.conj().T.tocsr(), shifted.solve_adjoint(y), y) <= 1e-10
@@ -372,9 +390,10 @@ class TestCharDet:
         # A_h is real: det(conj(sigma) I - A_h) = conj det(sigma I - A_h)
         assert mirror.log_scale == pytest.approx(det.log_scale, rel=1e-14, abs=1e-14)
         assert abs(mirror.mantissa - det.mantissa.conjugate()) <= 1e-14 * abs(det.mantissa)
-        B = sigma * np.eye(gen.dim) - gen.A.toarray()
+        A = generator_matrix(gen).toarray()
+        B = sigma * np.eye(gen.dim) - A
         # near an eigenvalue both factorizations lose the small pivot's digits
-        assume(np.abs(np.linalg.eigvals(gen.A.toarray()) - sigma).min()
+        assume(np.abs(np.linalg.eigvals(A) - sigma).min()
                > 1e-6 * max(abs(sigma), 1.0))
         sign, logabs = np.linalg.slogdet(B)
         assert abs(det.log_scale + math.log(abs(det.mantissa)) - logabs) <= 1e-10 * max(
@@ -405,7 +424,7 @@ class TestCountEigenvalues:
         det_t = gen._det_t
 
         def recording(sigma, guard=False):
-            evaluated.append(sigma)
+            evaluated.extend(np.atleast_1d(sigma))
             return det_t(sigma, guard)
 
         monkeypatch.setattr(gen, "_det_t", recording)
@@ -437,12 +456,12 @@ class TestGramMatrices:
     def test_constant_state_norms(self):
         gen = assemble(GridSpec(64, 64), NEU)
         z = (np.arange(gen.dim) < gen.n_u).astype(float)  # (1, 0, 0)
-        assert z @ (gen.W_E @ z) == pytest.approx(0.0, abs=1e-14)
+        assert z @ (energy_matrix(gen) @ z) == pytest.approx(0.0, abs=1e-14)
         assert z @ (gram_matrix(gen) @ z) == pytest.approx(1.0, rel=1e-12)
 
     def test_w_minus_we_positive_semidefinite(self):
         gen = assemble(GridSpec(32, 32), NEU)
-        diff = (gram_matrix(gen) - gen.W_E).toarray()
+        diff = (gram_matrix(gen) - energy_matrix(gen)).toarray()
         assert np.min(np.linalg.eigvalsh(diff)) >= -1e-14
 
     def test_sine_state_norm_second_order(self):
@@ -468,9 +487,22 @@ class TestGramMatrices:
         W = gram_matrix(gen).toarray()
         assert np.abs(F @ F.T - W).max() <= 1e-14 * np.abs(W).max()
 
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    @pytest.mark.parametrize("n", [16, 128, 400, 800])
+    def test_energy_equals_csr_form_bitwise(self, variant, n):
+        # 300 random states per grid, each at a scale e^s with |s| <= 20, one
+        # at a time and as one block
+        gen = assemble(GridSpec(n, n), variant)
+        W_E = energy_matrix(gen)
+        rng = np.random.default_rng(n)
+        states = rng.standard_normal((300, gen.dim)) * np.exp(rng.uniform(-20.0, 20.0, (300, 1)))
+        want = np.array([0.5 * float(z @ (W_E @ z)) for z in states])
+        assert np.array([gen.energy(z) for z in states]).tobytes() == want.tobytes()
+        assert gen.energy(states).tobytes() == want.tobytes()
+
     def test_we_kernel_is_constant_direction(self):
         gen = assemble(GridSpec(32, 32), NEU)
-        vals = np.linalg.eigvalsh(gen.W_E.toarray())
+        vals = np.linalg.eigvalsh(energy_matrix(gen).toarray())
         assert vals[0] < 1e-12 and vals[1] > 1e-6
 
 

@@ -40,6 +40,7 @@ from conftest import (
     W_CONST_S25,
     WP_CONST_S25,
     defining_residual,
+    generator_matrix,
     gram_matrix,
     smooth_triple,
 )
@@ -78,7 +79,7 @@ def _w_norm(disc, z) -> float:
 
 def _dense_norm(disc, s) -> float:
     """||(is - A_h)^-1|| in the W-norm: 1/sigma_min(L^T B L^-T), W = L L^T, B = is - A_h."""
-    B = 1j * s * np.eye(disc.dim) - disc.A.toarray()
+    B = 1j * s * np.eye(disc.dim) - generator_matrix(disc).toarray()
     L = np.linalg.cholesky(gram_matrix(disc).toarray())
     scaled = L.T @ np.linalg.solve(L, B.T).T
     return 1.0 / np.linalg.svd(scaled, compute_uv=False)[-1]
@@ -378,7 +379,7 @@ class TestApplyResolvent:
             gen = assemble(GridSpec(n, n), NEU)
             zx = gen.pack_state(x)
             rhs = _pack_data(gen, y.u, y.v, y.w)
-            B = (1j * s * sp.identity(gen.dim, format="csc") - gen.A).tocsc()
+            B = (1j * s * sp.identity(gen.dim, format="csc") - generator_matrix(gen)).tocsc()
             res_errs.append(_w_norm(gen, B @ zx - rhs))
             sol_errs.append(_w_norm(gen, spla.spsolve(B, rhs.astype(complex)) - zx))
         for i in range(2):
@@ -407,7 +408,7 @@ class TestNorms:
         # values of the resolvent are closest: the slowest case for Lanczos
         disc = assemble(required_grid(target, factor=2.5), variant)
         s_eff, _ = snap_to_resonance(disc, target)
-        heights = np.linalg.eigvals(disc.A.toarray()).imag
+        heights = np.linalg.eigvals(generator_matrix(disc).toarray()).imag
         s_mid = 0.5 * (s_eff + heights[heights > s_eff + 1e-6].min())
         assert resolvent_norm_discrete(s_mid, disc) == pytest.approx(
             _dense_norm(disc, s_mid), rel=1e-9)
@@ -475,7 +476,7 @@ class TestNorms:
         # the rule snapping used with ARPACK, applied to all eigenvalues of A_h
         disc = assemble(required_grid(s, factor), variant)
         assume(disc.dim <= 700)
-        ev = np.linalg.eigvals(disc.A.toarray())
+        ev = np.linalg.eigvals(generator_matrix(disc).toarray())
         near = ev[np.argsort(np.abs(ev - 1j * s))][:6]
         lam = min(near[near.imag > 0.5], key=lambda e: abs(e.imag - s))
         gap = np.abs(1j * lam.imag - near).min()

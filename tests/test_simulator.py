@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import scipy.linalg
 from scipy.linalg.blas import daxpy, dcopy, dgbmv, dscal
@@ -31,6 +31,8 @@ from waveheat.simulator import (
     write_energy_csv,
 )
 from waveheat.state import StateVector, wave_nodes
+
+from conftest import dissipation_matrix, energy_matrix, generator_matrix
 
 NEU = BoundaryVariant.NEUMANN
 DIR = BoundaryVariant.DIRICHLET
@@ -104,8 +106,8 @@ class TestStepper:
         dt = 0.5 / n
         rng = np.random.default_rng(n)
         z = rng.standard_normal(disc.dim)
-        eye = sp.identity(disc.dim, format="csc")
-        ref = spla.spsolve((eye - 0.5 * dt * disc.A).tocsc(), (eye + 0.5 * dt * disc.A) @ z)
+        eye, A = sp.identity(disc.dim, format="csc"), generator_matrix(disc)
+        ref = spla.spsolve((eye - 0.5 * dt * A).tocsc(), (eye + 0.5 * dt * A) @ z)
         z_new, mid = z.copy(), np.empty_like(z)
         CrankNicolsonStepper(disc, dt).advance(z_new, mid)
         assert np.linalg.norm(z_new - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -163,19 +165,40 @@ class TestHeatDissipation:
         rng = np.random.default_rng(rows)
         mids = rng.standard_normal((rows, disc.dim))
         dt = 0.01
-        got = _HeatDissipation(disc)(mids, mids[-1].copy(), dt)
+        [got] = _HeatDissipation(disc)(mids, [0], dt)
         block = mids.T.copy()
-        ref = dt * float(np.vdot(block, disc.W_diss @ block))
+        ref = dt * float(np.vdot(block, dissipation_matrix(disc) @ block))
         # the same products, summed in another order
         assert abs(got - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("variant", [NEU, DIR])
-    def test_non_finite_u_rows_raise(self, variant):
-        disc = assemble(GRID, variant)
-        mids, z = np.zeros((8, disc.dim)), np.zeros(disc.dim)
-        z[disc.n_u // 2] = np.nan  # outside the heat slice
+    def test_sums_each_interval(self, variant):
+        disc = assemble(GridSpec(48, 40), variant)
+        mids = np.random.default_rng(5).standard_normal((23, disc.dim))
+        starts = [0, 1, 9, 22]
+        got = _HeatDissipation(disc)(mids, starts, 0.01)
+        W_diss = dissipation_matrix(disc)
+        for total, rows in zip(got, np.split(mids, starts[1:])):
+            ref = 0.01 * sum(float(m @ (W_diss @ m)) for m in rows)
+            assert abs(total - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_non_finite_u_rows_raise(self, monkeypatch, variant):
+        # a NaN outside the heat slice and off phi's u(0) slot, after step 3
+        advance = CrankNicolsonStepper.advance
+        calls = []
+
+        def poisoned(self, z, mid):
+            advance(self, z, mid)
+            calls.append(1)
+            if len(calls) == 3:
+                z[self.disc.n_u // 2] = np.nan
+
+        monkeypatch.setattr(CrankNicolsonStepper, "advance", poisoned)
+        datum = make_domain_data("smooth_bump", GRID, variant)
         with pytest.raises(SolveFailureError):
-            _HeatDissipation(disc)(mids, z, 0.01)
+            run(datum.state, config(variant=variant, t_max=10.0, stride=8))
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("variant", [NEU, DIR])
     @pytest.mark.parametrize("breakage", [
@@ -209,7 +232,7 @@ class TestHeatDissipation:
         series = run(make_domain_data("smooth_bump", GRID, variant).state, cfg)
         block = np.array(mids).T
         # the full form on each midpoint, summed per output interval of 8 steps
-        quad = np.einsum("ij,ij->j", block, assemble(GRID, variant).W_diss @ block)
+        quad = np.einsum("ij,ij->j", block, dissipation_matrix(assemble(GRID, variant)) @ block)
         expected = cfg.dt * quad.reshape(-1, 8).sum(axis=1)
         assert len(mids) == 8 * (len(series.times) - 1)
         assert series.dissipation[0] == 0.0
@@ -236,6 +259,70 @@ class TestFaultInjection:
         with pytest.raises(SolveFailureError):
             run(datum.state, config(t_max=10.0, stride=8))
         assert len(calls) == 8
+
+
+class TestFaultWithoutWarnings:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stride, poisoned_at, raised_at",
+                             [(8, 8, 8), (8, 5, 8), (100, 10, 100)])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_raises_solve_failure(self, monkeypatch, stride, poisoned_at, raised_at, value):
+        # stride 100: the poisoned block of 64 steps ends without an output
+        advance = CrankNicolsonStepper.advance
+        calls = []
+
+        def poisoned(self, z, mid):
+            advance(self, z, mid)
+            calls.append(1)
+            if len(calls) == poisoned_at:
+                z[:] = value
+
+        monkeypatch.setattr(CrankNicolsonStepper, "advance", poisoned)
+        datum = make_domain_data("smooth_bump", GRID, NEU)
+        with pytest.raises(SolveFailureError):
+            run(datum.state, config(t_max=10.0, stride=stride))
+        assert len(calls) == raised_at
+
+
+class TestAgainstStepLoop:
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from([NEU, DIR]), stride=st.integers(1, 200),
+           extra=st.integers(0, 250))
+    @example(variant=NEU, stride=64, extra=7)
+    @example(variant=DIR, stride=65, extra=1)
+    @example(variant=NEU, stride=200, extra=13)
+    @example(variant=DIR, stride=7, extra=250)
+    def test_outputs_match_per_step_reference(self, variant, stride, extra):
+        # 640 + extra steps; every output recorded when its step is taken, with
+        # the CSR forms of energy and dissipation
+        grid = GridSpec(16, 16)
+        dt = grid.h_wave / 4.0
+        cfg = SimulationConfig(dt=dt, t_max=10.0 + extra * dt, grid=grid, variant=variant,
+                               output_stride=stride)
+        x0 = make_domain_data("smooth_bump", grid, variant).state
+        series = run(x0, cfg)
+
+        disc = assemble(grid, variant)
+        W_E, W_diss, weights = energy_matrix(disc), dissipation_matrix(disc), phi_weights(disc)
+        stepper = CrankNicolsonStepper(disc, dt)
+        z = disc.pack_state(x0).astype(float)
+        mid = np.empty_like(z)
+        times, phis, dissipation = [0.0], [weights @ z], [0.0]
+        energies = [0.5 * float(z @ (W_E @ z))]
+        n_steps, acc = 640 + extra, 0.0
+        for i in range(1, n_steps + 1):
+            stepper.advance(z, mid)
+            acc += dt * float(mid @ (W_diss @ mid))
+            if i % stride == 0 or i == n_steps:
+                times.append(i * dt)
+                energies.append(0.5 * float(z @ (W_E @ z)))
+                phis.append(weights @ z)
+                dissipation.append(acc)
+                acc = 0.0
+        assert series.times.tobytes() == np.array(times).tobytes()
+        assert series.energies.tobytes() == np.array(energies).tobytes()
+        assert series.phi.tobytes() == np.array(phis).tobytes()
+        np.testing.assert_allclose(series.dissipation, dissipation, rtol=1e-14, atol=0.0)
 
 
 class TestOutputStride:
