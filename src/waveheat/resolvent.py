@@ -31,8 +31,11 @@ assembled generator.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import warnings
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .errors import (
     OverflowEvaluationError,
     ResolutionError,
     SingularSystemError,
+    SolveFailureError,
     VariantError,
 )
 from .state import StateVector, _norm_X, heat_nodes, wave_nodes
@@ -516,6 +520,65 @@ def snap_to_resonance(disc: DiscreteGenerator, s_target: float) -> tuple[float, 
     return s_eff, gap
 
 
+def _with_worker(work: Callable[[], object], local: Callable[[], object]) -> tuple:
+    """(local(), work()), with ``work`` run in a forked worker process while ``local`` runs here.
+
+    The worker sends its result, or the exception it raised, back as one
+    pickle over a pipe and always ends with ``os._exit``; its exception is
+    raised here with the same type and message.  A worker that ends without
+    a result raises SolveFailureError.  If ``local`` raises, the worker is
+    killed before the exception propagates.  Every path reaps the worker,
+    so no process outlives the call.  Where the platform has no ``os.fork``
+    both run here, ``local`` first.
+    """
+    if not hasattr(os, "fork"):
+        return local(), work()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the worker
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, work())
+            except Exception as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            mine = local()
+            sent = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SolveFailureError(
+            f"worker process ended without a result (exit {os.waitstatus_to_exitcode(status)})")
+    ok, value = pickle.loads(sent)
+    if not ok:
+        raise value
+    return mine, value
+
+
+def _doubled_norm(grid: GridSpec, variant: BoundaryVariant, s_eff: float) -> float:
+    """The discrete norm at the resonance nearest s_eff on the doubling of ``grid``."""
+    disc = assemble(grid.doubled(), variant)
+    s_eff2, _ = snap_to_resonance(disc, s_eff)
+    return resolvent_norm_discrete(s_eff2, disc)
+
+
 def sweep(
     variant: BoundaryVariant,
     s_targets: np.ndarray,
@@ -530,28 +593,45 @@ def sweep(
     randomized lower bound (if trials > 0), the spectral lower bound
     1/gap, the wave-grid size and (optionally) the relative change under
     grid doubling.
+
+    Every target is first assembled and snapped on its resolution grid.
+    With ``doubling_check``, one forked worker process (``_with_worker``)
+    then assembles, snaps and norms the doubled grids, which need only each
+    row's grid and s_eff, while this process computes the rows' norms in row
+    order with the same rng.  Each number comes from the same code on the
+    same inputs as in one process, so the rows keep their bits; a platform
+    without ``os.fork`` computes the doubled norms here, after the rows.
+    CPU time and peak memory read through ``RUSAGE_SELF`` leave the worker
+    out; they are under ``RUSAGE_CHILDREN``.
     """
-    rows = []
     rng = np.random.default_rng(seed)
+    snapped = []
     for s_t in np.asarray(s_targets, dtype=float):
         grid = required_grid(s_t, factor=resolution_factor)
         disc = assemble(grid, variant)
-        s_eff, gap = snap_to_resonance(disc, s_t)
-        norm = resolvent_norm_discrete(s_eff, disc)
-        row = {
-            "s": s_eff,
-            "norm_discrete": norm,
-            "norm_sampled": math.nan,
-            "spectral_lower_bound": 1.0 / gap,
-            "grid_N": grid.n_wave,
-            "doubling_change": math.nan,
-        }
-        if trials > 0 and variant is BoundaryVariant.NEUMANN:
-            row["norm_sampled"] = resolvent_norm_sampled(s_eff, trials, grid, rng)
-        if doubling_check:
-            disc2 = assemble(grid.doubled(), variant)
-            s_eff2, _ = snap_to_resonance(disc2, s_eff)
-            norm2 = resolvent_norm_discrete(s_eff2, disc2)
-            row["doubling_change"] = abs(norm2 - norm) / norm
-        rows.append(row)
-    return rows
+        snapped.append((grid, disc, *snap_to_resonance(disc, s_t)))
+
+    def rows() -> list[dict]:
+        out = []
+        for grid, disc, s_eff, gap in snapped:
+            row = {
+                "s": s_eff,
+                "norm_discrete": resolvent_norm_discrete(s_eff, disc),
+                "norm_sampled": math.nan,
+                "spectral_lower_bound": 1.0 / gap,
+                "grid_N": grid.n_wave,
+                "doubling_change": math.nan,
+            }
+            if trials > 0 and variant is BoundaryVariant.NEUMANN:
+                row["norm_sampled"] = resolvent_norm_sampled(s_eff, trials, grid, rng)
+            out.append(row)
+        return out
+
+    if not doubling_check:
+        return rows()
+    out, doubled = _with_worker(
+        lambda: [_doubled_norm(grid, variant, s_eff) for grid, _, s_eff, _ in snapped], rows)
+    for row, norm2 in zip(out, doubled):
+        norm = row["norm_discrete"]
+        row["doubling_change"] = abs(norm2 - norm) / norm
+    return out

@@ -17,7 +17,7 @@ import pytest
 from waveheat import checks
 from waveheat.characteristic import BoundaryVariant, det_growth_ratio
 from waveheat.discretization import GridSpec, make_domain_data
-from waveheat.resolvent import apply_resolvent, sweep
+from waveheat.resolvent import _with_worker, apply_resolvent, sweep
 from waveheat.simulator import (
     SimulationConfig,
     decade_slopes,
@@ -89,18 +89,29 @@ def _decay_series(variant, k, t_max):
 
 
 @pytest.fixture(scope="module")
-def neumann_k1_series():
-    return _decay_series(NEU, 1, 120.0)
+def decay_series():
+    # the three trajectories at once: Neumann k=1 here, the other two in a
+    # forked worker, on a second core where there is one
+    neumann_k1, (neumann_k2, dirichlet_k1) = _with_worker(
+        lambda: (_decay_series(NEU, 2, 80.0), _decay_series(DIR, 1, 120.0)),
+        lambda: _decay_series(NEU, 1, 120.0),
+    )
+    return neumann_k1, neumann_k2, dirichlet_k1
 
 
 @pytest.fixture(scope="module")
-def neumann_k2_series():
-    return _decay_series(NEU, 2, 80.0)
+def neumann_k1_series(decay_series):
+    return decay_series[0]
 
 
 @pytest.fixture(scope="module")
-def dirichlet_k1_series():
-    return _decay_series(DIR, 1, 120.0)
+def neumann_k2_series(decay_series):
+    return decay_series[1]
+
+
+@pytest.fixture(scope="module")
+def dirichlet_k1_series(decay_series):
+    return decay_series[2]
 
 
 def _check_localization(records, variant, label):

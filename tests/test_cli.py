@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 import waveheat.characteristic
 from waveheat import checks
 from waveheat.cli import _apply_config_file, build_parser, main
+from waveheat.discretization import GridSpec
+from waveheat.errors import NoConvergenceError
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 # every resolvent flag but --config, each drawn or left out
@@ -177,6 +179,32 @@ class TestResolventCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "trial 2 of 3" in err and "Traceback" not in err
+
+    def test_double_check_same_bytes_without_worker(self, tmp_path, capsys, monkeypatch):
+        # the doubled grids run in a forked worker; without os.fork they run in process
+        argv = ["resolvent", "--s-min", "10", "--s-max", "100", "--s-points", "3",
+                "--double-check", "--trials", "3", "--seed", "2", "--out"]
+        outputs = []
+        for sub in ("worker", "inline"):
+            if sub == "inline":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / sub
+            assert main(argv + [str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("resolvent.csv",
+                                                                   "resolvent.svg")]
+                           + [capsys.readouterr().out.replace(str(out), "OUT")])
+        assert outputs[0] == outputs[1]
+
+    def test_doubled_grid_fault_exits_two(self, tmp_path, capfd, monkeypatch):
+        def fail(grid):
+            raise NoConvergenceError("injected doubled-grid fault")
+
+        monkeypatch.setattr(GridSpec, "doubled", fail)  # raised in the worker
+        code = main(["resolvent", "--s-min", "10", "--s-max", "20", "--s-points", "2",
+                     "--double-check", "--out", str(tmp_path)])
+        err = capfd.readouterr().err  # the worker's file descriptors included
+        assert code == 2
+        assert err == "sweep failed: injected doubled-grid fault\n"
 
     def test_bad_frequency_range_exits_one(self, tmp_path):
         assert main(["resolvent", "--s-min", "1", "--out", str(tmp_path)]) == 1

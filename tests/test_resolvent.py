@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from numpy.polynomial.polynomial import polyval
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from waveheat import checks
+from waveheat import checks, resolvent
 from waveheat.characteristic import BoundaryVariant, principal_sqrt
 from waveheat.discretization import GridSpec, ShiftedSolve, assemble
 from waveheat.errors import (
@@ -16,6 +18,7 @@ from waveheat.errors import (
     NoConvergenceError,
     OverflowEvaluationError,
     ResolutionError,
+    SolveFailureError,
     VariantError,
 )
 from waveheat.resolvent import (
@@ -46,6 +49,7 @@ from conftest import (
 )
 
 NEU = BoundaryVariant.NEUMANN
+DIR = BoundaryVariant.DIRICHLET
 
 
 def wave_data(f, g):
@@ -678,3 +682,69 @@ class TestSweep:
         slope = np.polyfit(np.log(svals), np.log(norms), 1)[0]
         assert 0.35 <= slope <= 0.65
         assert checks.norm_times_gap(rows).passed
+
+    # three targets whose grids (48 to 72 wave cells, doubled 96 to 144) keep each sweep short
+    SMALL = np.logspace(1, 2, 3)
+
+    @staticmethod
+    def _assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _count_forks(monkeypatch) -> list:
+        fork, forks = os.fork, []
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.parametrize("trials", [0, 3])
+    @pytest.mark.parametrize("variant", [NEU, DIR], ids=["neumann", "dirichlet"])
+    def test_worker_rows_are_the_inline_rows(self, variant, trials, monkeypatch):
+        forks = self._count_forks(monkeypatch)
+        kwargs = dict(trials=trials, seed=4, doubling_check=True)
+        worker = sweep(variant, self.SMALL, **kwargs)
+        assert len(forks) == 1
+        self._assert_no_child()
+        monkeypatch.delattr(os, "fork")
+        inline = sweep(variant, self.SMALL, **kwargs)
+        # repr round-trips every float, NaN included, so equal reprs are equal bits
+        assert repr(worker) == repr(inline)
+        assert all(math.isfinite(r["doubling_change"]) for r in worker)
+
+    def test_no_worker_without_doubling(self, monkeypatch):
+        forks = self._count_forks(monkeypatch)
+        rows = sweep(NEU, self.SMALL, trials=2)
+        assert not forks
+        assert all(math.isnan(r["doubling_change"]) for r in rows)
+
+    def test_worker_error_keeps_type_and_message(self, monkeypatch):
+        def fail(grid):
+            raise NoConvergenceError(f"injected at {grid.n_wave} wave cells")
+
+        monkeypatch.setattr(GridSpec, "doubled", fail)  # only the worker doubles a grid
+        with pytest.raises(NoConvergenceError, match=r"^injected at 48 wave cells$"):
+            sweep(NEU, self.SMALL, doubling_check=True)
+        self._assert_no_child()
+
+    def test_worker_without_result_raises_solve_failure(self, monkeypatch):
+        monkeypatch.setattr(GridSpec, "doubled", lambda grid: os._exit(3))
+        with pytest.raises(SolveFailureError, match="without a result"):
+            sweep(NEU, self.SMALL, doubling_check=True)
+        self._assert_no_child()
+
+    def test_failure_here_kills_the_worker(self, monkeypatch):
+        def fail(*args):
+            raise OverflowEvaluationError("injected sampled-norm fault")
+
+        monkeypatch.setattr(GridSpec, "doubled", lambda grid: time.sleep(60))
+        monkeypatch.setattr(resolvent, "resolvent_norm_sampled", fail)
+        start = time.monotonic()
+        with pytest.raises(OverflowEvaluationError, match="injected sampled-norm fault"):
+            sweep(NEU, self.SMALL, trials=2, doubling_check=True)
+        assert time.monotonic() - start < 30  # the worker was killed, not waited for
+        self._assert_no_child()

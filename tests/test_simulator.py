@@ -230,8 +230,9 @@ class TestHeatDissipation:
 
 class TestFaultInjection:
     @pytest.mark.parametrize("poison", ["state_and_midpoint", "state_only"])
-    def test_non_finite_state_raises_at_flush(self, monkeypatch, poison):
-        # stride 8: the first flush is after step 8, whatever goes non-finite
+    def test_non_finite_state_raises_at_output(self, monkeypatch, poison):
+        # stride 8: the finiteness check sits at each output (phi), and the
+        # first output is after step 8, whatever goes non-finite
         advance = CrankNicolsonStepper.advance
         calls = []
 
