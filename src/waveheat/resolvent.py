@@ -549,7 +549,7 @@ def _with_worker(work: Callable[[], object], local: Callable[[], object]) -> tup
             except Exception as exc:
                 outcome = (False, exc)
             with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(outcome, pipe)
             code = 0
         finally:
             os._exit(code)
@@ -563,20 +563,13 @@ def _with_worker(work: Callable[[], object], local: Callable[[], object]) -> tup
         raise
     finally:
         _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SolveFailureError(
-            f"worker process ended without a result (exit {os.waitstatus_to_exitcode(status)})")
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise SolveFailureError(f"worker process ended without a result (exit {code})")
     ok, value = pickle.loads(sent)
     if not ok:
         raise value
     return mine, value
-
-
-def _doubled_norm(grid: GridSpec, variant: BoundaryVariant, s_eff: float) -> float:
-    """The discrete norm at the resonance nearest s_eff on the doubling of ``grid``."""
-    disc = assemble(grid.doubled(), variant)
-    s_eff2, _ = snap_to_resonance(disc, s_eff)
-    return resolvent_norm_discrete(s_eff2, disc)
 
 
 def sweep(
@@ -627,11 +620,18 @@ def sweep(
             out.append(row)
         return out
 
+    def doubled() -> list[float]:
+        norms = []
+        for grid, _, s_eff, _ in snapped:
+            disc = assemble(grid.doubled(), variant)
+            s_eff2, _ = snap_to_resonance(disc, s_eff)
+            norms.append(resolvent_norm_discrete(s_eff2, disc))
+        return norms
+
     if not doubling_check:
         return rows()
-    out, doubled = _with_worker(
-        lambda: [_doubled_norm(grid, variant, s_eff) for grid, _, s_eff, _ in snapped], rows)
-    for row, norm2 in zip(out, doubled):
+    out, norms2 = _with_worker(doubled, rows)
+    for row, norm2 in zip(out, norms2):
         norm = row["norm_discrete"]
         row["doubling_change"] = abs(norm2 - norm) / norm
     return out

@@ -683,7 +683,7 @@ class TestSweep:
         assert 0.35 <= slope <= 0.65
         assert checks.norm_times_gap(rows).passed
 
-    # three targets whose grids (48 to 72 wave cells, doubled 96 to 144) keep each sweep short
+    # three targets on grids of 48 to 398 wave cells (doubled: 96 to 796), a short sweep
     SMALL = np.logspace(1, 2, 3)
 
     @staticmethod
