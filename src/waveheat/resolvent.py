@@ -530,6 +530,11 @@ def _with_worker(work: Callable[[], object], local: Callable[[], object]) -> tup
     killed before the exception propagates.  Every path reaps the worker,
     so no process outlives the call.  Where the platform has no ``os.fork``
     both run here, ``local`` first.
+
+    A fork rather than a spawned interpreter: the worker starts from this
+    process's imports and state, where a fresh interpreter would import
+    numpy and scipy again, several times the doubled grids' 35 ms.  The
+    package starts no threads of its own.
     """
     if not hasattr(os, "fork"):
         return local(), work()
