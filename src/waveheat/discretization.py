@@ -40,6 +40,8 @@ __all__ = [
     "make_domain_data",
 ]
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -236,12 +238,13 @@ class DiscreteGenerator:
         sub[..., : nu - 1] -= self.p_sub
         sup[..., : nu - 1] -= self.p_sup
         factors = []
-        for shift, *bands in zip(sigma, sub, main, sup) if many else [(sigma, sub, main, sup)]:
-            dl, d, du, du2, ipiv, info = zgttrf(*bands)
-            if guard and (info > 0 or np.abs(d).min() <= len(d) * np.finfo(float).eps
-                          * max(np.abs(band).max() for band in bands)):
+        rows = zip(sigma, sub, main, sup) if many else [(sigma, sub, main, sup)]
+        for shift, lower, diag, upper in rows:
+            *lu, info = zgttrf(lower, diag, upper)
+            if guard and (info > 0 or np.abs(lu[1]).min() <= len(diag) * _EPS * max(
+                    np.abs(lower).max(), np.abs(diag).max(), np.abs(upper).max())):
                 raise SolveFailureError(f"sigma I - A_h is singular at sigma = {shift}")
-            factors.append(((dl, d, du, du2, ipiv), info))
+            factors.append((lu, info))
         return factors
 
     def _det_t(self, sigma, guard: bool = False) -> ScaledValue:
@@ -260,9 +263,9 @@ class DiscreteGenerator:
             if info > 0:
                 return ScaledValue(0j, 0.0)
         mag = np.abs(d)
-        # gttrf's ipiv[i] (1-based) is i + 1, or i + 2 after an interchange
+        # gttrf's ipiv[i] (1-based) is i + 1, or i + 2 after an interchange, which flips the sign
         n = d.shape[-1]
-        mantissa = (d / mag).prod(-1) * (-1.0) ** (ipiv.sum(-1) - n * (n + 1) // 2)
+        mantissa = (d / mag).prod(-1) * (1 - 2 * ((ipiv.sum(-1) - n * (n + 1) // 2) & 1))
         log_scale = np.log(mag).sum(-1)
         if not many:
             return ScaledValue(complex(mantissa), float(log_scale))
@@ -302,7 +305,7 @@ class DiscreteGenerator:
         return np.array([self._secant_root(complex(seed)) for seed in seeds], dtype=complex)
 
     def _secant_root(self, seed: complex) -> complex:
-        sqrt_eps = math.sqrt(np.finfo(float).eps)
+        sqrt_eps = math.sqrt(_EPS)
         prev, f_prev = seed, self._det_t(seed, guard=True)
         # a relative sqrt(eps) offset: the first step is a forward-difference Newton step
         cur = seed + sqrt_eps * max(abs(seed), 1.0)

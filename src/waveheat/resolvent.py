@@ -35,7 +35,7 @@ import os
 import pickle
 import signal
 import warnings
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -520,48 +520,121 @@ def snap_to_resonance(disc: DiscreteGenerator, s_target: float) -> tuple[float, 
     return s_eff, gap
 
 
-def _with_worker(work: Callable[[], object], local: Callable[[], object]) -> tuple:
-    """(local(), work()), with ``work`` run in a forked worker process while ``local`` runs here.
+def _cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or None where unreadable."""
+    try:
+        with open("/proc/self/stat") as stat:
+            fields = stat.read()
+        # field 2, the command name in parentheses, may hold spaces: count from its end
+        return int(fields[fields.rindex(")") + 2 :].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Move this process off ``cpu`` if it runs there and may run elsewhere; keep its affinity.
+
+    The affinity is narrowed to the allowed CPUs but ``cpu``, which moves
+    the process at once, and then restored: a move, not a pin.  Nothing
+    happens where the CPU or the affinity cannot be read or set.
+    """
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) > 1 and _cpu() == cpu:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _unpickled(stream) -> Iterator[object]:
+    """The objects pickled into ``stream``, in order, until its end."""
+    while True:
+        try:
+            yield pickle.load(stream)
+        except EOFError:
+            return
+
+
+def _with_worker(
+    work: Callable[[Iterator[object]], object], local: Callable[[Callable[[object], None]], object]
+) -> tuple:
+    """(local(send), work(received)), ``work`` run in a forked worker while ``local`` runs here.
+
+    ``local`` passes objects to the worker in order by calling ``send``;
+    ``work`` iterates over them as they arrive, and its iterator ends when
+    ``local`` has returned.  Each object goes over a pipe as one pickle.
     The worker sends its result, or the exception it raised, back as one
-    pickle over a pipe and always ends with ``os._exit``; its exception is
-    raised here with the same type and message.  A worker that ends without
-    a result raises SolveFailureError.  If ``local`` raises, the worker is
-    killed before the exception propagates.  Every path reaps the worker,
-    so no process outlives the call.  Where the platform has no ``os.fork``
-    both run here, ``local`` first.
+    pickle over a second pipe and always ends with ``os._exit``; its
+    exception is raised here with the same type and message.  The worker
+    closes its end of the first pipe before it sends its outcome, and
+    ``send`` drops what it can no longer deliver, so a worker that fails
+    or returns early never shows here as a BrokenPipeError.  A worker that
+    ends without a result raises SolveFailureError.  If ``local`` raises,
+    the worker is killed before the exception propagates.  Every path
+    reaps the worker, so no process outlives the call.  Where the platform
+    has no ``os.fork`` both run here, ``local`` first.
+
+    The CPU this process runs on is noted just before the fork.  A worker
+    that starts on it, with other CPUs allowed, moves off it (``_leave_cpu``):
+    a scheduler that does not balance load, as in a cpuset with
+    ``sched_load_balance`` 0, would otherwise keep both processes on one
+    CPU.  Where the worker already runs elsewhere, nothing changes.
 
     A fork rather than a spawned interpreter: the worker starts from this
     process's imports and state, where a fresh interpreter would import
-    numpy and scipy again, several times the doubled grids' 35 ms.  The
-    package starts no threads of its own.
+    numpy and scipy again, several times the worker's work in a sweep.
+    The package starts no threads of its own.
     """
     if not hasattr(os, "fork"):
-        return local(), work()
-    read_end, write_end = os.pipe()
+        objects: list[object] = []
+        return local(objects.append), work(iter(objects))
+    cpu = _cpu()
+    feed_read, feed_write = os.pipe()
+    result_read, result_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
+        for fd in (feed_read, feed_write, result_read, result_write):
+            os.close(fd)
         raise
     if pid == 0:  # the worker
         code = 1
         try:
-            os.close(read_end)
-            try:
-                outcome = (True, work())
-            except Exception as exc:
-                outcome = (False, exc)
-            with os.fdopen(write_end, "wb") as pipe:
+            os.close(feed_write)
+            os.close(result_read)
+            _leave_cpu(cpu)
+            with os.fdopen(feed_read, "rb") as feed:
+                try:
+                    outcome = (True, work(_unpickled(feed)))
+                except Exception as exc:
+                    outcome = (False, exc)
+            with os.fdopen(result_write, "wb") as pipe:
                 pickle.dump(outcome, pipe)
             code = 0
         finally:
             os._exit(code)
-    os.close(write_end)
+    os.close(feed_read)
+    os.close(result_write)
+    feeding = True
+
+    def send(obj: object) -> None:
+        nonlocal feeding
+        data = memoryview(pickle.dumps(obj))
+        try:
+            while feeding and data:
+                data = data[os.write(feed_write, data) :]
+        except BrokenPipeError:  # the worker stopped reading: its outcome says why
+            feeding = False
+
     try:
-        with os.fdopen(read_end, "rb") as pipe:
-            mine = local()
+        with os.fdopen(result_read, "rb") as pipe:
+            try:
+                mine = local(send)
+            finally:
+                os.close(feed_write)
             sent = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -592,24 +665,32 @@ def sweep(
     1/gap, the wave-grid size and (optionally) the relative change under
     grid doubling.
 
-    Every target is first assembled and snapped on its resolution grid.
-    With ``doubling_check``, one forked worker process (``_with_worker``)
-    then assembles, snaps and norms the doubled grids, which need only each
-    row's grid and s_eff, while this process computes the rows' norms in row
-    order with the same rng.  Each number comes from the same code on the
-    same inputs as in one process, so the rows keep their bits; a platform
-    without ``os.fork`` computes the doubled norms here, after the rows.
-    CPU time and peak memory read through ``RUSAGE_SELF`` leave the worker
-    out; they are under ``RUSAGE_CHILDREN``.
+    Every target is first assembled and snapped on its resolution grid,
+    ``required_grid(s_t, resolution_factor)``; then the rows' norms are
+    computed in row order with one rng.  With ``doubling_check`` a worker
+    process (``_with_worker``) starts before the first snap and computes
+    the doubled grids' norms, which need only each row's grid, known up
+    front, and its s_eff: it is sent each s_eff as soon as it is snapped,
+    and assembles doubled grid i before s_eff i arrives, so it snaps and
+    norms grid i while this process snaps target i+1 and then computes the
+    rows.  The worker moves off this process's CPU when it starts on it.
+    Each number comes from the same code on the same inputs as in one
+    process, so the rows keep their bits; a platform without ``os.fork``
+    computes the doubled norms here, after the rows.  CPU time and peak
+    memory read through ``RUSAGE_SELF`` leave the worker out; they are
+    under ``RUSAGE_CHILDREN``.
     """
     rng = np.random.default_rng(seed)
-    snapped = []
-    for s_t in np.asarray(s_targets, dtype=float):
-        grid = required_grid(s_t, factor=resolution_factor)
-        disc = assemble(grid, variant)
-        snapped.append((grid, disc, *snap_to_resonance(disc, s_t)))
+    targets = [(s_t, required_grid(s_t, factor=resolution_factor))
+               for s_t in np.asarray(s_targets, dtype=float)]
 
-    def rows() -> list[dict]:
+    def rows(send: Callable[[object], None]) -> list[dict]:
+        snapped = []
+        for s_t, grid in targets:
+            disc = assemble(grid, variant)
+            s_eff, gap = snap_to_resonance(disc, s_t)
+            send(s_eff)
+            snapped.append((grid, disc, s_eff, gap))
         out = []
         for grid, disc, s_eff, gap in snapped:
             row = {
@@ -625,16 +706,16 @@ def sweep(
             out.append(row)
         return out
 
-    def doubled() -> list[float]:
+    def doubled(s_effs: Iterator[object]) -> list[float]:
         norms = []
-        for grid, _, s_eff, _ in snapped:
-            disc = assemble(grid.doubled(), variant)
-            s_eff2, _ = snap_to_resonance(disc, s_eff)
+        for _, grid in targets:
+            disc = assemble(grid.doubled(), variant)  # while s_eff is snapped
+            s_eff2, _ = snap_to_resonance(disc, next(s_effs))
             norms.append(resolvent_norm_discrete(s_eff2, disc))
         return norms
 
     if not doubling_check:
-        return rows()
+        return rows(lambda s_eff: None)
     out, norms2 = _with_worker(doubled, rows)
     for row, norm2 in zip(out, norms2):
         norm = row["norm_discrete"]

@@ -10,6 +10,7 @@ production scaled arithmetic.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -142,3 +143,16 @@ def defining_residual(s, y, x):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process {pid} left unreaped" if pid else "a child process left running")

@@ -91,10 +91,10 @@ def _decay_series(variant, k, t_max):
 @pytest.fixture(scope="module")
 def decay_series():
     # the three trajectories at once: Neumann k=1 here, the other two in a
-    # forked worker, on a second core where there is one
+    # forked worker, on a second core where there is one; neither sends anything
     neumann_k1, (neumann_k2, dirichlet_k1) = _with_worker(
-        lambda: (_decay_series(NEU, 2, 80.0), _decay_series(DIR, 1, 120.0)),
-        lambda: _decay_series(NEU, 1, 120.0),
+        lambda received: (_decay_series(NEU, 2, 80.0), _decay_series(DIR, 1, 120.0)),
+        lambda send: _decay_series(NEU, 1, 120.0),
     )
     return neumann_k1, neumann_k2, dirichlet_k1
 

@@ -737,6 +737,56 @@ class TestSweep:
             sweep(NEU, self.SMALL, doubling_check=True)
         self._assert_no_child()
 
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_worker_error_while_targets_remain(self, monkeypatch):
+        # the worker fails at its first doubled grid, before it reads a target; the
+        # parent snaps each target only once the worker has exited, so its first send
+        # meets a closed pipe and drops the rest, and the caller sees the worker's error
+        parent, snap, write, broken = os.getpid(), resolvent.snap_to_resonance, os.write, []
+
+        def fail(grid):
+            raise NoConvergenceError(f"injected at {grid.n_wave} wave cells")
+
+        def snap_after_exit(disc, s_t):
+            if os.getpid() == parent:  # wait for the exit without reaping the worker
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            return snap(disc, s_t)
+
+        def recorded_write(fd, data):
+            try:
+                return write(fd, data)
+            except BrokenPipeError:
+                broken.append(fd)
+                raise
+
+        monkeypatch.setattr(GridSpec, "doubled", fail)
+        monkeypatch.setattr(resolvent, "snap_to_resonance", snap_after_exit)
+        monkeypatch.setattr(os, "write", recorded_write)
+        with pytest.raises(NoConvergenceError, match=r"^injected at 48 wave cells$"):
+            sweep(NEU, self.SMALL, doubling_check=True)
+        assert len(broken) == 1
+        self._assert_no_child()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_failure_at_kth_snap_kills_the_worker(self, k, monkeypatch):
+        parent, snap, calls = os.getpid(), resolvent.snap_to_resonance, []
+
+        def fail_kth(disc, s_t):
+            if os.getpid() == parent:  # the worker's snaps are its own
+                calls.append(s_t)
+                if len(calls) == k:
+                    raise NoConvergenceError("injected coarse-snap fault")
+            return snap(disc, s_t)
+
+        monkeypatch.setattr(GridSpec, "doubled", lambda grid: time.sleep(60))
+        monkeypatch.setattr(resolvent, "snap_to_resonance", fail_kth)
+        start = time.monotonic()
+        with pytest.raises(NoConvergenceError, match=r"^injected coarse-snap fault$"):
+            sweep(NEU, self.SMALL, doubling_check=True)
+        assert time.monotonic() - start < 30  # the worker was killed, not waited for
+        assert len(calls) == k
+        self._assert_no_child()
+
     def test_failure_here_kills_the_worker(self, monkeypatch):
         def fail(*args):
             raise OverflowEvaluationError("injected sampled-norm fault")
@@ -748,3 +798,25 @@ class TestSweep:
             sweep(NEU, self.SMALL, trials=2, doubling_check=True)
         assert time.monotonic() - start < 30  # the worker was killed, not waited for
         self._assert_no_child()
+
+
+def _may_move() -> bool:
+    return (hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
+            and resolvent._cpu() is not None)
+
+
+class TestWorkerCpu:
+    @pytest.mark.skipif(not _may_move(), reason="needs sched_setaffinity, two CPUs and the CPU")
+    def test_worker_leaves_the_parents_cpu(self, monkeypatch):
+        cpu, noted = resolvent._cpu, []
+
+        def recorded():
+            noted.append(cpu())  # in the parent: the CPU noted before the fork
+            return noted[-1]
+
+        monkeypatch.setattr(resolvent, "_cpu", recorded)
+        _, (there, mask) = resolvent._with_worker(
+            lambda received: (cpu(), os.sched_getaffinity(0)), lambda send: None)
+        assert len(noted) == 1
+        assert there != noted[0]
+        assert mask == os.sched_getaffinity(0)  # moved, not pinned
