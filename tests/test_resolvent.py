@@ -801,8 +801,15 @@ class TestSweep:
 
 
 def _may_move() -> bool:
-    return (hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
-            and resolvent._cpu() is not None)
+    """Whether this process may read its CPU and set its affinity, with two CPUs allowed."""
+    if not hasattr(os, "sched_setaffinity") or resolvent._cpu() is None:
+        return False
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        return False
+    return len(allowed) > 1
 
 
 class TestWorkerCpu:
