@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import characteristic, discretization, resolvent, simulator, spectrum, state
+from . import characteristic, discretization, resolvent, simulator, spectrum, state, worker
+from .errors import WaveHeatError
 
 NEU = characteristic.BoundaryVariant.NEUMANN
 DIR = characteristic.BoundaryVariant.DIRICHLET
+_GRID = discretization.GridSpec(128, 128)  # the battery's discrete kernel and trajectory
 
 
 class Check(NamedTuple):
@@ -187,12 +190,8 @@ def dirichlet_no_kernel(gen) -> Check:
                  f"{count} eigenvalues in |sigma| < 0.3")
 
 
-def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
-    """The checks of ``waveheat verify`` in order, each computed when reached.
-
-    ``rng`` draws the determinant samples and the sampled-norm data; roots are
-    polished for the branches 5 <= n <= nmax and for their mirrors.
-    """
+def _before_trajectory(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
+    """The battery's 15 checks before the trajectory's, in order."""
     points = [complex(rng.uniform(-20, 20), rng.uniform(0.1, 40)) for _ in range(40)]
     yield schwarz_reflection(points)
     yield scaled_unscaled_agreement(points)
@@ -215,16 +214,23 @@ def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
     y = state.StateVector(u=np.cos(xw), v=np.sin(2 * xw), w=xh * (1 - xh))
     yield det_two_path(y, (2.0, 17.0, 313.0))
     yield resolvent_coupling(10.0, y)
-    grid = discretization.GridSpec(128, 128)
-    yield kernel_vector(discretization.assemble(grid, NEU))
+    yield kernel_vector(discretization.assemble(_GRID, NEU))
     yield kernel_functional_values(128)
+
+
+def _trajectory() -> Iterator[Check]:
+    """The three checks of one N = 128 Crank-Nicolson trajectory."""
     series = simulator.run(
-        discretization.make_domain_data("smooth_bump", grid, NEU, k=1).state,
-        simulator.SimulationConfig(dt=grid.h_wave / 4, t_max=10.0, grid=grid, variant=NEU,
+        discretization.make_domain_data("smooth_bump", _GRID, NEU, k=1).state,
+        simulator.SimulationConfig(dt=_GRID.h_wave / 4, t_max=10.0, grid=_GRID, variant=NEU,
                                    output_stride=8))
     yield energy_monotone(series)
     yield energy_balance(series)
     yield phi_constant_along_flow(series)
+
+
+def _after_trajectory(rng: np.random.Generator) -> Iterator[Check]:
+    """The battery's three checks after the trajectory's, in order."""
     grid_r = resolvent.required_grid(50.0, factor=2.5)
     disc = discretization.assemble(grid_r, NEU)
     s_eff, gap = resolvent.snap_to_resonance(disc, 50.0)
@@ -233,4 +239,55 @@ def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
     yield norm_times_gap([row])
     row["norm_sampled"] = resolvent.resolvent_norm_sampled(s_eff, 40, grid_r, rng)
     yield sampled_below_discrete([row])
-    yield dirichlet_no_kernel(discretization.assemble(grid, DIR))
+    yield dirichlet_no_kernel(discretization.assemble(_GRID, DIR))
+
+
+def _finished(checks: Iterator[Check]) -> tuple[list[Check], WaveHeatError | None]:
+    """The checks of ``checks`` up to its first WaveHeatError, and that error (None if none)."""
+    done: list[Check] = []
+    try:
+        for check in checks:
+            done.append(check)
+    except WaveHeatError as exc:
+        return done, exc
+    return done, None
+
+
+def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
+    """The 21 checks of ``waveheat verify``, in order.
+
+    ``rng`` draws the determinant samples and the sampled-norm data; roots are
+    polished for the branches 5 <= n <= nmax and for their mirrors.
+
+    The N = 128 Crank-Nicolson trajectory and its three checks share no
+    input with the other 18.  A forked worker (``worker._with_worker``)
+    computes those 18, the 15 before the trajectory's checks and the three
+    after, from its own copy of ``rng`` while this process runs the
+    trajectory.  Each of the three parts stops at its first WaveHeatError and
+    returns it with the checks it finished, and the worker returns the state
+    of its ``rng`` after each of its parts.  The battery yields the checks in
+    order and raises the error that comes first in that order, after the
+    same checks as in one process; when it raises or ends, ``rng`` is in the
+    state the battery in one process leaves it in.  Without ``os.fork`` the
+    battery runs in order in this process.
+    """
+    if not hasattr(os, "fork"):
+        yield from _before_trajectory(nmax, rng)
+        yield from _trajectory()
+        yield from _after_trajectory(rng)
+        return
+
+    def others(received: Iterator[object]) -> tuple:
+        before = _finished(_before_trajectory(nmax, rng))
+        at_trajectory = rng.bit_generator.state
+        after = _finished(_after_trajectory(rng))
+        return before, at_trajectory, after, rng.bit_generator.state
+
+    trajectory, (before, at_trajectory, after, at_end) = worker._with_worker(
+        others, lambda send: _finished(_trajectory()))
+    parts = ((before, at_trajectory), (trajectory, at_trajectory), (after, at_end))
+    for (done, error), rng_state in parts:
+        rng.bit_generator.state = rng_state
+        yield from done
+        if error is not None:
+            raise error

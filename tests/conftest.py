@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from waveheat import simulator, spectrum
 from waveheat.characteristic import BoundaryVariant
+from waveheat.errors import NoConvergenceError
 from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 # polished determinant roots (branch index -> root), mpmath findroot, dps=40
@@ -140,9 +142,45 @@ def defining_residual(s, y, x):
             + math.sqrt(hh * float(np.sum(np.abs(res_w) ** 2))))
 
 
+def fail_dirichlet_polish(monkeypatch):
+    """Make ``spectrum.polish`` raise NoConvergenceError for every Dirichlet seed."""
+    polish = spectrum.polish
+
+    def failing(seed, variant):
+        if variant is BoundaryVariant.DIRICHLET:
+            raise NoConvergenceError("injected Dirichlet polish fault")
+        return polish(seed, variant)
+
+    monkeypatch.setattr(spectrum, "polish", failing)
+
+
+def poison_step(monkeypatch):
+    """Make every Crank-Nicolson step leave a NaN, which ``simulator.run`` reports."""
+    advance = simulator.CrankNicolsonStepper.advance
+
+    def poisoned(self, z, mid):
+        advance(self, z, mid)
+        z[0] = np.nan
+
+    monkeypatch.setattr(simulator.CrankNicolsonStepper, "advance", poisoned)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """One entry per ``os.fork`` call during the test."""
+    fork, calls = os.fork, []
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @pytest.fixture(autouse=True)

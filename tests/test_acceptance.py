@@ -17,7 +17,7 @@ import pytest
 from waveheat import checks
 from waveheat.characteristic import BoundaryVariant, det_growth_ratio
 from waveheat.discretization import GridSpec, make_domain_data
-from waveheat.resolvent import _with_worker, apply_resolvent, sweep
+from waveheat.resolvent import apply_resolvent, sweep
 from waveheat.simulator import (
     SimulationConfig,
     decade_slopes,
@@ -28,6 +28,7 @@ from waveheat.simulator import (
 )
 from waveheat.spectrum import count_zeros_contour, decay_envelope, polish, seeds
 from waveheat.state import StateVector, heat_nodes, wave_nodes
+from waveheat.worker import _with_worker
 
 from conftest import defining_residual, smooth_triple
 

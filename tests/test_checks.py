@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,9 +12,12 @@ import waveheat
 from waveheat import characteristic, checks, resolvent, simulator
 from waveheat.characteristic import BoundaryVariant, ScaledValue
 from waveheat.discretization import GridSpec, assemble
+from waveheat.errors import WaveHeatError
 from waveheat.simulator import EnergySeries
 from waveheat.spectrum import EigenvalueRecord
 from waveheat.state import StateVector, heat_nodes, wave_nodes
+
+from conftest import fail_dirichlet_polish, poison_step
 
 NEU, DIR = BoundaryVariant.NEUMANN, BoundaryVariant.DIRICHLET
 POINT_ARGS = ([1 + 2j, -3 + 9j, 4.5 + 0.7j],)
@@ -105,6 +109,29 @@ def test_battery_compares_every_conjugate_pair(nmax):
     for check in found.values():
         assert check.passed, check
         assert check.detail.startswith(f"compared {nmax - 4} of {nmax - 4},"), check
+
+
+def _battery_and_rng(seed):
+    """The battery's checks (or the error it raised) and its rng's state after it."""
+    rng = np.random.default_rng(seed)
+    try:
+        outcome = list(checks.battery(12, rng))
+    except WaveHeatError as exc:
+        outcome = exc
+    return repr(outcome), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("inject", [None, fail_dirichlet_polish, poison_step],
+                         ids=["no_fault", "worker_fault", "trajectory_fault"])
+def test_battery_leaves_rng_where_one_process_does(inject, forks, monkeypatch):
+    if inject is not None:
+        inject(monkeypatch)
+    forked = _battery_and_rng(5)
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    # repr round-trips every float, so equal reprs are equal bits
+    assert forked == _battery_and_rng(5)
+    assert forked[1] != np.random.default_rng(5).bit_generator.state
 
 
 def test_tracer_targets_exist(monkeypatch):

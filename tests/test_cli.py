@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import waveheat.characteristic
-from waveheat import checks
+from waveheat import checks, resolvent
 from waveheat.cli import _apply_config_file, build_parser, main
 from waveheat.discretization import GridSpec
 from waveheat.errors import NoConvergenceError
+
+from conftest import fail_dirichlet_polish, poison_step
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
 # every resolvent flag but --config, each drawn or left out
@@ -318,7 +320,55 @@ class TestConfigFile:
         assert code == 1
 
 
+def _fail_snap(monkeypatch):
+    def failing(disc, s_target):
+        raise NoConvergenceError("injected snapping fault")
+
+    monkeypatch.setattr(resolvent, "snap_to_resonance", failing)
+
+
+def _poison_step_and_fail_snap(monkeypatch):
+    poison_step(monkeypatch)
+    _fail_snap(monkeypatch)
+
+
 class TestVerifyCommand:
+    @staticmethod
+    def _with_and_without_fork(argv, capsys, monkeypatch) -> tuple:
+        """(exit code, stdout, stderr) of ``main(argv)``, then the same without os.fork."""
+        forked = (main(argv), *capsys.readouterr())
+        monkeypatch.delattr(os, "fork")
+        return forked, (main(argv), *capsys.readouterr())
+
+    @pytest.mark.parametrize("nmax", [12, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_output_without_fork(self, seed, nmax, tmp_path, capsys, forks, monkeypatch):
+        # the worker computes every check but the trajectory's; without os.fork
+        # the battery runs in order in this process
+        argv = ["verify", "--seed", str(seed), "--nmax", str(nmax), "--out", str(tmp_path)]
+        forked, inline = self._with_and_without_fork(argv, capsys, monkeypatch)
+        assert len(forks) == 1
+        assert forked == inline and forked[0] == 0
+
+    @pytest.mark.parametrize("inject,passed,message", [
+        (fail_dirichlet_polish, 8, "injected Dirichlet polish fault"),
+        (poison_step, 15, "non-finite state after implicit solve"),
+        (_fail_snap, 18, "injected snapping fault"),
+        (_poison_step_and_fail_snap, 15, "non-finite state after implicit solve"),
+    ], ids=["worker_before", "parent", "worker_after", "both"])
+    def test_failure_prints_what_one_process_prints(self, inject, passed, message, tmp_path,
+                                                    capsys, monkeypatch):
+        # each side stops at its first error; the one first in battery order is
+        # raised after the checks that come before it
+        inject(monkeypatch)
+        argv = ["verify", "--nmax", "12", "--out", str(tmp_path)]
+        forked, inline = self._with_and_without_fork(argv, capsys, monkeypatch)
+        assert forked == inline
+        code, out, err = forked
+        assert code == 2
+        assert [line[:4] for line in out.splitlines()] == ["PASS"] * passed
+        assert err == f"waveheat: numerical failure: {message}\n"
+
     def test_fresh_checkout_passes(self, tmp_path, capsys):
         code = main(["verify", "--nmax", "12", "--out", str(tmp_path)])
         out = capsys.readouterr().out

@@ -10,7 +10,7 @@ from numpy.polynomial.polynomial import polyval
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from waveheat import checks, resolvent
+from waveheat import checks, resolvent, worker
 from waveheat.characteristic import BoundaryVariant, principal_sqrt
 from waveheat.discretization import GridSpec, ShiftedSolve, assemble
 from waveheat.errors import (
@@ -691,33 +691,20 @@ class TestSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @staticmethod
-    def _count_forks(monkeypatch) -> list:
-        fork, forks = os.fork, []
-
-        def counted():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        return forks
-
     @pytest.mark.parametrize("trials", [0, 3])
     @pytest.mark.parametrize("variant", [NEU, DIR], ids=["neumann", "dirichlet"])
-    def test_worker_rows_are_the_inline_rows(self, variant, trials, monkeypatch):
-        forks = self._count_forks(monkeypatch)
+    def test_worker_rows_are_the_inline_rows(self, variant, trials, forks, monkeypatch):
         kwargs = dict(trials=trials, seed=4, doubling_check=True)
-        worker = sweep(variant, self.SMALL, **kwargs)
+        forked = sweep(variant, self.SMALL, **kwargs)
         assert len(forks) == 1
         self._assert_no_child()
         monkeypatch.delattr(os, "fork")
         inline = sweep(variant, self.SMALL, **kwargs)
         # repr round-trips every float, NaN included, so equal reprs are equal bits
-        assert repr(worker) == repr(inline)
-        assert all(math.isfinite(r["doubling_change"]) for r in worker)
+        assert repr(forked) == repr(inline)
+        assert all(math.isfinite(r["doubling_change"]) for r in forked)
 
-    def test_no_worker_without_doubling(self, monkeypatch):
-        forks = self._count_forks(monkeypatch)
+    def test_no_worker_without_doubling(self, forks):
         rows = sweep(NEU, self.SMALL, trials=2)
         assert not forks
         assert all(math.isnan(r["doubling_change"]) for r in rows)
@@ -802,7 +789,7 @@ class TestSweep:
 
 def _may_move() -> bool:
     """Whether this process may read its CPU and set its affinity, with two CPUs allowed."""
-    if not hasattr(os, "sched_setaffinity") or resolvent._cpu() is None:
+    if not hasattr(os, "sched_setaffinity") or worker._cpu() is None:
         return False
     allowed = os.sched_getaffinity(0)
     try:
@@ -815,14 +802,14 @@ def _may_move() -> bool:
 class TestWorkerCpu:
     @pytest.mark.skipif(not _may_move(), reason="needs sched_setaffinity, two CPUs and the CPU")
     def test_worker_leaves_the_parents_cpu(self, monkeypatch):
-        cpu, noted = resolvent._cpu, []
+        cpu, noted = worker._cpu, []
 
         def recorded():
             noted.append(cpu())  # in the parent: the CPU noted before the fork
             return noted[-1]
 
-        monkeypatch.setattr(resolvent, "_cpu", recorded)
-        _, (there, mask) = resolvent._with_worker(
+        monkeypatch.setattr(worker, "_cpu", recorded)
+        _, (there, mask) = worker._with_worker(
             lambda received: (cpu(), os.sched_getaffinity(0)), lambda send: None)
         assert len(noted) == 1
         assert there != noted[0]
