@@ -96,8 +96,8 @@ def _root(lam):
 class ScaledValue(NamedTuple):
     """A complex number represented as mantissa * exp(log_scale).
 
-    For an array of points both fields are arrays of that shape; ``value``,
-    ``abs_log`` and ``times`` take one point only.
+    For an array of points both fields are arrays of that shape; ``value``
+    and ``abs_log`` take one point only.
     """
 
     mantissa: complex
@@ -122,10 +122,6 @@ class ScaledValue(NamedTuple):
         if self.mantissa == 0:
             return -math.inf
         return math.log(abs(self.mantissa)) + self.log_scale
-
-    def times(self, factor: complex) -> "ScaledValue":
-        """Scaled product with an ordinary complex number."""
-        return _normalize(self.mantissa * factor, self.log_scale)
 
 
 def _normalize(mantissa, log_scale) -> ScaledValue:

@@ -15,7 +15,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import characteristic, discretization, resolvent, simulator, spectrum, state, worker
-from .errors import WaveHeatError
 
 NEU = characteristic.BoundaryVariant.NEUMANN
 DIR = characteristic.BoundaryVariant.DIRICHLET
@@ -117,20 +116,25 @@ def contour_counts(variant, counts: list[int]) -> Check:
 
 
 def det_two_path(y: state.StateVector, frequencies) -> Check:
-    """det M of the 2x2 interface matrix equals the scaled determinant."""
-    systems = (resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat) for s in frequencies)
+    """det M of the 2x2 interface matrix equals the determinant from ``char_fn_scaled``."""
+    systems = (resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat, y.variant)
+               for s in frequencies)
     return _relative("det_two_path", 1e-10, (
-        _rel(cf.det.value(), cf.M[0, 0] * cf.M[1, 1] - cf.M[0, 1] * cf.M[1, 0])
-        for cf in systems))
+        _rel(cf.det, cf.M[0, 0] * cf.M[1, 1] - cf.M[0, 1] * cf.M[1, 0]) for cf in systems))
 
 
 def resolvent_coupling(s: float, y: state.StateVector) -> Check:
-    """Boundary and interface residuals of the closed-form resolvent, relative to |y|."""
-    sol = resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat).solve(y)
+    """Boundary and interface residuals of the closed-form resolvent, relative to |y|.
+
+    The far-end term is u'(-1) for Neumann and u(-1) for Dirichlet data.
+    """
+    sol = resolvent.ClosedFormResolvent(s, y.n_wave, y.n_heat, y.variant).solve(y)
     x = sol.state
     z = characteristic.principal_sqrt(1j * s)
-    w_prime0 = z * sol.b * np.cosh(z) + sol.heat[1][0]
-    bc = float(max(abs(x.u_prime[0]), abs(x.w[-1]), abs(x.v[-1] - x.w[0]),
+    # w = -b (e^(-z xi) - e^(-z (2 - xi))) + W
+    w_prime0 = z * sol.b * (1.0 + np.exp(-2.0 * z)) + sol.heat[1][0]
+    far = x.u_prime[0] if y.variant is NEU else x.u[0]
+    bc = float(max(abs(far), abs(x.w[-1]), abs(x.v[-1] - x.w[0]),
                    abs(x.u_prime[-1] - w_prime0)) / y.norm_X)
     return Check("resolvent_coupling", bc, 1e-8, bc < 1e-8, f"max residual {bc:.2e}")
 
@@ -237,18 +241,22 @@ def _after_trajectory(rng: np.random.Generator) -> Iterator[Check]:
     row = {"norm_discrete": resolvent.resolvent_norm_discrete(s_eff, disc),
            "spectral_lower_bound": 1.0 / gap}
     yield norm_times_gap([row])
-    row["norm_sampled"] = resolvent.resolvent_norm_sampled(s_eff, 40, grid_r, rng)
+    row["norm_sampled"] = resolvent.resolvent_norm_sampled(s_eff, 40, grid_r, rng, NEU)
     yield sampled_below_discrete([row])
     yield dirichlet_no_kernel(discretization.assemble(_GRID, DIR))
 
 
-def _finished(checks: Iterator[Check]) -> tuple[list[Check], WaveHeatError | None]:
-    """The checks of ``checks`` up to its first WaveHeatError, and that error (None if none)."""
+def _finished(checks: Iterator[Check]) -> tuple[list[Check], Exception | None]:
+    """The checks of ``checks`` up to its first exception, and that exception (None if none).
+
+    Any exception, not only a WaveHeatError: a fault in either process is
+    raised after the same checks as in one process.
+    """
     done: list[Check] = []
     try:
         for check in checks:
             done.append(check)
-    except WaveHeatError as exc:
+    except Exception as exc:
         return done, exc
     return done, None
 
@@ -263,7 +271,7 @@ def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
     input with the other 18.  A forked worker (``worker._with_worker``)
     computes those 18, the 15 before the trajectory's checks and the three
     after, from its own copy of ``rng`` while this process runs the
-    trajectory.  Each of the three parts stops at its first WaveHeatError and
+    trajectory.  Each of the three parts stops at its first exception and
     returns it with the checks it finished, and the worker returns the state
     of its ``rng`` after each of its parts.  The battery yields the checks in
     order and raises the error that comes first in that order, after the

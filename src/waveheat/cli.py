@@ -232,7 +232,7 @@ def cmd_resolvent(args) -> int:
         Series(x=list(svals), y=list(norms), label="discrete norm"),
         Series(x=list(svals), y=ref, label="slope 1/2 reference", dashed=True),
     ]
-    if args.trials > 0 and variant is ch.BoundaryVariant.NEUMANN:
+    if args.trials > 0:
         series.append(Series(x=list(svals), y=[r["norm_sampled"] for r in rows],
                              label="sampled lower bound", marker=True))
     svg_plot(out / "resolvent.svg", series, title="resolvent growth along the axis",

@@ -2,46 +2,48 @@
 
 For a real frequency s the resolvent equation (is - A)x = y with data
 y = (f, g, h) reduces to two boundary-value problems joined at the
-interface.  Variation of constants gives
+interface.  Variation of constants gives, with z = sqrt(is),
 
-    u(xi) = a(s) cos(s (xi+1)) - U(xi),
-    w(xi) = -b(s) sinh(sqrt(is) (1-xi)) + W(xi),      v = is u - f,
+    u(xi) = a(s) phi(xi) - U(xi),                      v = is u - f,
+    w(xi) = -b(s) sigma(xi) + W(xi),   sigma(xi) = e^(-z xi) - e^(-z (2-xi)),
 
-where U, W are particular integrals of the data against oscillatory and
-exponentially growing kernels, and (a, b) solve a 2x2 system whose
-determinant is  (is)^(3/2) cos(s) cosh(sqrt(is)) - s sin(s) sinh(sqrt(is)),
-an imaginary-axis evaluation of the Neumann characteristic determinant.
-The quotients of exponentially large terms in (a, b) are computed as
-mantissa ratios with log-scale subtraction.  Everything the data do not
-enter (kernel quadrature, exponentials, the determinant and the
+with phi = cos(s (xi+1)) for the Neumann and sin(s (xi+1)) for the
+Dirichlet variant.  U is the particular integral of the string, and the
+rod's W is built from the decaying halves
+L(xi) = int_0^xi e^(-z (xi-r)) h dr and R(xi) = int_xi^1 e^(-z (r-xi)) h dr:
+
+    W = [L + R - e^(-z (1-xi)) L(1)] / (2z),   W' = [R - L - e^(-z (1-xi)) L(1)] / 2,
+
+which solves is W - W'' = h with W(1) = 0 and W'(0) = z W(0).  Every
+term is bounded by the data, so the 2x2 interface system for (a, b) has
+O(s) entries and nothing exponentially large cancels.  Its determinant is
+2 e^(-z) is D(is) for Neumann and 2 e^(-z) s D(is) for Dirichlet, with D
+the characteristic determinant of the variant.  Everything the data do
+not enter (kernel quadrature, exponentials, the determinant and the
 homogeneous profiles) is set up once per frequency and grid, by the
 constructor of ``ClosedFormResolvent``.  The data grids have cells of one
 width, so the kernel quadrature folds into two weights per cell: each
 exponential splits into a node, a cell and a panel factor, each of modulus
 at most exp(|Re kappa| (x_n - x_0)) on the grid x_0 < ... < x_n, and a
 particular integral costs a few operations and one prefix sum per cell.
+That split is why |s| stays below the guard Re sqrt(is) <= 600: beyond
+it the rod's node factor exp(Re z) would overflow.
 
 The data y and the solution x are both ``StateVector``s, y = (f, g, h)
-held as (u, v, w).  These formulas hold for the Neumann variant, and
-``ClosedFormResolvent.solve`` raises VariantError for data of another
-variant.  The discrete norm estimator works for either variant through the
-assembled generator.
+held as (u, v, w), of the resolvent's variant.  The discrete norm
+estimator works for either variant through the assembled generator.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .characteristic import (
-    BoundaryVariant,
-    _cosh_sinh_hat,
-    char_fn_scaled,
-    principal_sqrt,
-)
+from .characteristic import BoundaryVariant, char_fn_scaled, principal_sqrt
 from .discretization import DiscreteGenerator, GridSpec, ShiftedSolve, assemble
 from .errors import (
     DegenerateInputError,
@@ -49,7 +51,6 @@ from .errors import (
     OverflowEvaluationError,
     ResolutionError,
     SingularSystemError,
-    VariantError,
 )
 from .state import StateVector, _norm_X, heat_nodes, wave_nodes
 from .worker import _with_worker
@@ -66,7 +67,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-_MAX_SQRT_REAL = 600.0  # exp(Re sqrt(is)) guard for the unscaled heat kernels
+_MAX_SQRT_REAL = 600.0  # exp(Re sqrt(is)) guard for the split kernel exponentials
 _DIRICHLET_BRANCH_0 = -0.7256 + 0.9716j  # continuous root of Dirichlet branch 0, to 4 digits
 # Node values per stacked (rows, nodes) array of resolvent_norm_sampled: its
 # trials go in chunks of this many entries, one row when a row is longer.
@@ -77,33 +78,34 @@ _STACK_ENTRIES = 2048
 
 
 class _KernelIntegrals:
-    """Causal sinh and cosh kernel integrals of piecewise-linear data.
+    """Causal exponential kernel integrals of piecewise-linear data.
 
-    Called with node data d, returns (S, C) at every node x_j of the
-    increasing grid x, with
-        S(x_j) = int_{x_0}^{x_j} sinh(kappa (x_j - r)) d(r) dr
-        C(x_j) = int_{x_0}^{x_j} cosh(kappa (x_j - r)) d(r) dr
-    and d linear on each cell.  Every cell is split into the same number
-    of equal panels, none wider than a fifth of 2 pi/|kappa| or 1/4, with
-    6-point Gauss-Legendre on each.  The cells must have one width h, up to
-    rounding (ValueError otherwise), so the exponential at a point x_c + h t
-    of cell c is a cell factor exp(-/+kappa (x_c - x_ref)) times a panel
-    factor exp(-/+kappa h t) that all cells share, with x_ref = x_0 for the
-    growing and x_n for the decaying exponential.  The Gauss sums thereby
-    fold into per-cell weights (A_c, B_c) of d_c and d_{c+1} - d_c, built
-    once from one exponential per cell and factor and the 6m panel
-    exponentials; a call forms the moments d_c A_c + (d_{c+1} - d_c) B_c
-    and their prefix sums.  Each exponential is split into a node, a cell
-    and a panel factor, each of modulus at most exp(|Re kappa| (x_n - x_0)).
+    Built with (kappa, ref) pairs on the increasing grid x; called with node
+    data d, returns for each pair
+        E(x_j) = int_{x_0}^{x_j} exp(kappa (x_j - r)) d(r) dr
+    at every node x_j, with d linear on each cell.  Every cell is split
+    into the same number of equal panels, none wider than a fifth of
+    2 pi/max|kappa| or 1/4, with 6-point Gauss-Legendre on each.  The cells
+    must have one width h, up to rounding (ValueError otherwise), so the
+    exponential at a point x_c + h t of cell c is a node factor
+    exp(kappa (x_j - x_ref)) times a cell factor exp(-kappa (x_c - x_ref))
+    times a panel factor exp(-kappa h t) that all cells share, with
+    x_ref = x[ref].  The Gauss sums thereby fold into per-cell weights
+    (A_c, B_c) of d_c and d_{c+1} - d_c, built once from one exponential
+    per cell and the 6m panel exponentials; a call forms the moments
+    d_c A_c + (d_{c+1} - d_c) B_c and their prefix sums.  Each factor has
+    modulus at most exp(|Re kappa| (x_n - x_0)); the reference is x_0 for
+    a growing and x_n for a decaying exponential.
     """
 
-    def __init__(self, kappa: complex, x: np.ndarray):
+    def __init__(self, x: np.ndarray, *halves: tuple[complex, int]):
         dx = np.diff(x)
         h = (x[-1] - x[0]) / len(dx)
         # linspace widths stay within eps max|x| of their mean
         if np.abs(dx - h).max() > 4.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1])):
             raise ValueError("kernel integrals need cells of one width")
-        width = min(2.0 * math.pi / (5.0 * max(abs(kappa), 1.0)), 0.25)
+        k_max = max(abs(kappa) for kappa, _ in halves)
+        width = min(2.0 * math.pi / (5.0 * max(k_max, 1.0)), 0.25)
         m = max(1, math.ceil(dx.max() / width))
         # quadrature points of a cell as fractions of its width, panel by panel
         frac = ((np.arange(m)[:, None] + 0.5 * (1.0 + _GL_NODES)) / m).ravel()
@@ -115,14 +117,14 @@ class _KernelIntegrals:
             scale = dx * cell
             return scale * wp.sum(), scale * (wp * frac).sum()
 
-        # (node factor, cell weights) of the growing and the decaying exponential
-        self._grow = np.exp(kappa * (x - x[0])), fold(
-            np.exp(-kappa * (x[:-1] - x[0])), np.exp(-kappa * h * frac))
-        self._decay = np.exp(kappa * (x[-1] - x)), fold(
-            np.exp(kappa * (x[:-1] - x[-1])), np.exp(kappa * h * frac))
+        # (node factor, cell weights) of each exponential
+        self._halves = tuple(
+            (np.exp(kappa * (x - x[ref])),
+             fold(np.exp(-kappa * (x[:-1] - x[ref])), np.exp(-kappa * h * frac)))
+            for kappa, ref in halves)
 
-    def __call__(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(S, C) of node data d along its last axis; rows of stacked data are independent."""
+    def __call__(self, d: np.ndarray) -> tuple[np.ndarray, ...]:
+        """E of node data d along its last axis, per pair; rows of stacked data are independent."""
         start, jump = d[..., :-1], d[..., 1:] - d[..., :-1]
 
         def prefix(cell_weights):
@@ -131,10 +133,7 @@ class _KernelIntegrals:
             np.cumsum(start * a + jump * b, axis=-1, out=sums[..., 1:])
             return sums
 
-        (grow_x, grow_w), (decay_x, decay_w) = self._grow, self._decay
-        grow = grow_x * prefix(grow_w)
-        decay = decay_x * prefix(decay_w)
-        return 0.5 * (grow - decay), 0.5 * (grow + decay)
+        return tuple(node * prefix(cell_weights) for node, cell_weights in self._halves)
 
 
 def _check_segment(segment: str, data: np.ndarray, nodes: np.ndarray) -> None:
@@ -155,34 +154,25 @@ class ResolventSolution(NamedTuple):
 
 
 class ClosedFormResolvent:
-    """The closed-form resolvent (is - A)^(-1) at frequency s on one grid (Neumann variant).
+    """The closed-form resolvent (is - A)^(-1) at frequency s on one grid, for one variant.
 
     The constructor holds every part that no data enter: the node grids,
-    the string kernel (kappa = is) and the reflected rod kernel
-    (kappa = sqrt(is)), the scaled interface determinant ``det`` and the
-    interface matrix ``M`` with det M = det, the homogeneous profiles
-    cos/sin(s (xi+1)) and sinh(sqrt(is) (1-xi)), and the carriers of
-    ``random_triple``.  It rejects s = 0, Re sqrt(is) > 600 (the unscaled
-    heat kernels) and an underflowing determinant, and warns for |s| < 2,
-    outside the calibrated frequency range.  The methods do the per-data work.
-
-    The per-data work runs on stacked data: ``random_rows`` draws and
-    ``solve_rows`` solves (rows, nodes) arrays, and ``random_triple`` and
-    ``solve`` are their one-row case.  The draws, kernel moments, prefix
-    sums, particular integrals and solution profiles are elementwise or
-    run along the last axis, so each row keeps the bits it has alone.  The
-    interface constants (a, b) stay numpy scalars, computed row by row:
-    their numerator cancels about 10 digits at s = 3000, and numpy's array
-    loops round complex products differently from its scalar arithmetic.
-    Array arithmetic moved a by 3.1e-7 there, and it changed 80 of 276
-    sampled norms on ``required_grid(s, 2.5)`` for 2.5 <= s <= 3000, by up
-    to 9e-13 relative at s = 1000 and 2.4e-6 at s = 3000.
-    ``resolvent_norm_sampled`` stacks at most ``_STACK_ENTRIES`` = 2048 node
-    values per array, which kept peak RSS within 0.1 MB of the one-trial
-    loop on the ``verify`` and ``envelope`` benchmark workloads.
+    the string kernel (kappa = +-is) and the rod kernel (kappa = -sqrt(is)),
+    the interface determinant ``det`` and the interface matrix ``M``,
+    whose determinant is ``det`` (the ``det_two_path`` check), the
+    homogeneous profiles phi, phi' and sigma, and the carriers of
+    ``random_triple``.  It rejects s = 0, Re sqrt(is) > 600 (the split
+    kernel exponentials) and an underflowing determinant, and warns for
+    |s| < 2, outside the calibrated frequency range.  The methods do the
+    per-data work on stacked data: ``random_rows`` draws and ``solve_rows``
+    solves (rows, nodes) arrays, and ``random_triple`` and ``solve`` are
+    their one-row case.  Every step is elementwise or runs along the last
+    axis.  ``resolvent_norm_sampled`` stacks at most ``_STACK_ENTRIES`` =
+    2048 node values per array, which kept peak RSS within 0.1 MB of the
+    one-trial loop on the ``verify`` and ``envelope`` benchmark workloads.
     """
 
-    def __init__(self, s: float, n_wave: int, n_heat: int):
+    def __init__(self, s: float, n_wave: int, n_heat: int, variant: BoundaryVariant):
         if s == 0:
             raise DegenerateInputError("frequency s must be nonzero")
         if abs(s) < 2.0:
@@ -190,36 +180,36 @@ class ClosedFormResolvent:
                 f"|s| = {abs(s):g} < 2 is outside the calibrated frequency range",
                 stacklevel=2,
             )
-        self.s = s
+        self.s, self.variant = s, variant
         # the guard precedes the kernels, whose panel count grows with |s|
         self.z = z = principal_sqrt(complex(0.0, s))
         if z.real > _MAX_SQRT_REAL:
             raise OverflowEvaluationError(
-                f"|s| = {abs(s):g} too large for the unscaled quadrature path"
+                f"|s| = {abs(s):g} too large for the split kernel exponentials"
             )
         self._xw, self._xh = xw, xh = wave_nodes(n_wave), heat_nodes(n_heat)
-        self._wave = _KernelIntegrals(1j * s, xw)
-        self._heat = _KernelIntegrals(z, 1.0 - xh[::-1])
-        self._cosh_hat, self._sinh_hat = cosh_hat, sinh_hat = _cosh_sinh_hat(z)
-        det = char_fn_scaled(complex(0.0, s), BoundaryVariant.NEUMANN).times(1j * s)
-        if det.abs_log() < math.log(1e-300):
-            raise SingularSystemError(f"scaled determinant underflow at s = {s}")
-        self.det = det
-        r_real = z.real  # = |Re z|, the scale the hat functions divide out
-        self.M = np.array(
-            [
-                [1j * s * math.cos(s), sinh_hat * math.exp(r_real)],
-                [s * math.sin(s), z * cosh_hat * math.exp(r_real)],
-            ],
-            dtype=complex,
-        )
+        self._wave = _KernelIntegrals(xw, (1j * s, 0), (-1j * s, -1))
+        self._heat = _KernelIntegrals(xh, (-z, -1))
+        neumann = variant is BoundaryVariant.NEUMANN
+        char = char_fn_scaled(complex(0.0, s), variant)
+        self.det = (2j * s if neumann else 2.0 * s) * char.mantissa * cmath.exp(
+            char.log_scale - z)
+        if not abs(self.det) >= 1e-300:
+            raise SingularSystemError(f"interface determinant underflow at s = {s}")
         phase = s * (xw + 1.0)
-        # Real profiles are held as complex (x, 0), which is what a complex
-        # product casts a real operand to: the products keep their bits and
-        # skip the cast.
-        self._cos, self._sin = np.cos(phase).astype(complex), np.sin(phase).astype(complex)
-        self._sinh = np.sinh(z * (1.0 - xh))
-        osc, layer = np.exp(1j * s * xw), np.exp(-z * xh)
+        # phi and phi' = scale * dphi.  Real profiles are held as complex (x, 0),
+        # which is what a complex product casts a real operand to: the products
+        # keep their bits and skip the cast.
+        cos, sin = np.cos(phase).astype(complex), np.sin(phase).astype(complex)
+        self._phi, self._dphi = (cos, (-s, sin)) if neumann else (sin, (s, cos))
+        layer = np.exp(-z * xh)
+        self._tail = np.exp(-z * (1.0 - xh))  # e^(-z (1-xi)), 1 at xi = 1
+        self._sigma = layer - cmath.exp(-z) * self._tail
+        e2 = cmath.exp(-2.0 * z)
+        phi0, dphi0 = (math.cos(s), -s * math.sin(s)) if neumann else (math.sin(s),
+                                                                      s * math.cos(s))
+        self.M = np.array([[1j * s * phi0, 1.0 - e2], [-dphi0, z * (1.0 + e2)]])
+        osc = np.exp(1j * s * xw)
         self._carriers = (
             (xw.astype(complex), osc.real.astype(complex), osc.imag.astype(complex)),
             (xh.astype(complex), layer.real.astype(complex), layer.imag.astype(complex)),
@@ -231,8 +221,8 @@ class ClosedFormResolvent:
         Returns (U, U') with
             U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
             U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
-        for the piecewise-linear data (f, g) = (y.u, y.v): the kernel
-        integrals with kappa = is.
+        for the piecewise-linear data (f, g) = (y.u, y.v): half the
+        difference and the sum of the kernel integrals with kappa = +-is.
         """
         _check_segment("wave", y.u, self._xw)
         return self._wave_rows(y.u, y.v)
@@ -241,10 +231,12 @@ class ClosedFormResolvent:
         """Particular integral of the forced diffusion operator at every heat node.
 
         Returns (W, W') with
-            W(xi)  = -(1/sqrt(is)) int_xi^1 sinh(sqrt(is) (r - xi)) h(r) dr
-            W'(xi) = int_xi^1 cosh(sqrt(is) (r - xi)) h(r) dr
-        for h = y.w: the kernel integrals with kappa = sqrt(is) in the
-        reflected variable 1 - xi.
+            W  = [L + R - e^(-z (1-xi)) L(1)] / (2z)
+            W' = [R - L - e^(-z (1-xi)) L(1)] / 2,        z = sqrt(is),
+        from the decaying halves L(xi) = int_0^xi e^(-z (xi-r)) h(r) dr and
+        R(xi) = int_xi^1 e^(-z (r-xi)) h(r) dr of h = y.w, each the kernel
+        integral with kappa = -z, R in the reflected variable 1 - xi.
+        W solves is W - W'' = h with W(1) = 0 and W'(0) = z W(0).
         """
         _check_segment("heat", y.w, self._xh)
         return self._heat_rows(y.w)
@@ -252,13 +244,15 @@ class ClosedFormResolvent:
     def _wave_rows(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (U, U') along the last axis of the wave data
         s = self.s
-        sinh_int, cosh_int = self._wave(1j * s * f + g)
-        return sinh_int / (1j * s), cosh_int
+        grow, decay = self._wave(1j * s * f + g)
+        return 0.5 * (grow - decay) / (1j * s), 0.5 * (grow + decay)
 
     def _heat_rows(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (W, W') along the last axis of the heat data
-        sinh_int, cosh_int = self._heat(h[..., ::-1])
-        return (-sinh_int / self.z)[..., ::-1], cosh_int[..., ::-1]
+        (left,), (right,) = self._heat(h), self._heat(h[..., ::-1])
+        right = right[..., ::-1]
+        far = self._tail * left[..., -1:]
+        return (left + right - far) / (2.0 * self.z), 0.5 * (right - left - far)
 
     def random_rows(
         self, rng: np.random.Generator, rows: int
@@ -268,7 +262,8 @@ class ClosedFormResolvent:
         Row k holds the triple the (k+1)-th of ``rows`` ``random_triple``
         calls would draw, bit for bit: one draw of 60 rows normals is the
         60-normal draws of those calls in turn, and every step of the
-        construction is elementwise.
+        construction is elementwise.  Dirichlet rows have f(-1) subtracted,
+        so that the data lie in the state space.
         """
         normals = rng.standard_normal(60 * rows).reshape(rows, 60)
         draw = iter(np.split(normals, np.cumsum([4, 4, 3, 3, 3, 3] * 3)[:-1], axis=1))
@@ -287,6 +282,8 @@ class ClosedFormResolvent:
         f = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
         g = rpoly(xw) + rpoly(xw) * osc_re + rpoly(xw) * osc_im
         h = rpoly(xh) + rpoly(xh) * layer_re + rpoly(xh) * layer_im
+        if self.variant is BoundaryVariant.DIRICHLET:
+            f = f - f[:, :1]
         return f, g, h
 
     def random_triple(self, rng: np.random.Generator) -> StateVector:
@@ -301,63 +298,54 @@ class ClosedFormResolvent:
         ``random_rows``.
         """
         f, g, h = self.random_rows(rng, 1)
-        return StateVector(u=f[0], v=g[0], w=h[0])
+        return StateVector(u=f[0], v=g[0], w=h[0], variant=self.variant)
 
     def solve_rows(self, f: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
-        """``solve`` for stacked Neumann data rows (f, g, h), each (rows, nodes).
+        """``solve`` for stacked data rows (f, g, h), each (rows, nodes).
 
         Returns the fields of ``ResolventSolution``, each with a leading
-        row axis, and the state as its node arrays (u, v, w, u').  Row k is
-        bitwise the solution of row k alone.  The interface constants are
-        computed row by row in numpy scalar arithmetic, for the reason the
-        class docstring gives.
+        row axis, and the state as its node arrays (u, v, w, u').
         """
-        s, z, det = self.s, self.z, self.det
+        s = self.s
         wave, heat = self._wave_rows(f, g), self._heat_rows(h)
         (u_vals, u_ders), (w_vals, w_ders) = wave, heat
-        rhs = np.empty((len(f), 2), dtype=complex)
-        a, b = np.empty(len(f), dtype=complex), np.empty(len(f), dtype=complex)
-        # Cramer's rule for M (a, b) = (p, q): the factors that no data enter
-        a_p, a_q, a_scale = z * self._cosh_hat, self._sinh_hat, math.exp(z.real - det.log_scale)
-        b_p, b_q, b_scale = -s * math.sin(s), 1j * s * math.cos(s), math.exp(-det.log_scale)
-        for row in range(len(f)):
-            p = complex(f[row, -1]) + 1j * s * u_vals[row, -1] + w_vals[row, 0]
-            q = -u_ders[row, -1] - w_ders[row, 0]
-            a[row] = ((a_p * p - a_q * q) / det.mantissa) * a_scale
-            b[row] = ((b_p * p + b_q * q) / det.mantissa) * b_scale
-            rhs[row] = p, q
+        p = f[:, -1] + 1j * s * u_vals[:, -1] + w_vals[:, 0]
+        q = -u_ders[:, -1] - w_ders[:, 0]
+        # Cramer's rule for M (a, b) = (p, q)
+        (m00, m01), (m10, m11) = self.M
+        a = (m11 * p - m01 * q) / self.det
+        b = (m00 * q - m10 * p) / self.det
         a_col, b_col = a[:, None], b[:, None]
-        u = a_col * self._cos - u_vals
-        u_prime = -s * a_col * self._sin - u_ders
-        w = -b_col * self._sinh + w_vals
-        return (u, 1j * s * u - f, w, u_prime), a, b, rhs, wave, heat
+        scale, dphi = self._dphi
+        u = a_col * self._phi - u_vals
+        u_prime = scale * a_col * dphi - u_ders
+        w = -b_col * self._sigma + w_vals
+        return (u, 1j * s * u - f, w, u_prime), a, b, np.stack([p, q], axis=1), wave, heat
 
     def solve(self, y: StateVector) -> ResolventSolution:
         """x = (is - A)^(-1) y on the data grids, with its interface constants.
 
-        Raises VariantError for Dirichlet data.  The interface system
-        M (a, b) = (p, q) is solved by Cramer's rule, its exponentially
-        large terms as mantissa ratios with log-scale subtraction.  The wave
-        derivative is returned analytically (u_prime), not by differencing,
-        so the state norm uses the exact H^1 seminorm of the closed form.
-        The one-row case of ``solve_rows``.
+        The data must be of the resolvent's variant (ValueError otherwise).
+        The interface system M (a, b) = (p, q) is solved by Cramer's rule.
+        The wave derivative is returned analytically (u_prime), not by
+        differencing, so the state norm uses the exact H^1 seminorm of the
+        closed form.  The one-row case of ``solve_rows``.
         """
-        if y.variant is not BoundaryVariant.NEUMANN:
-            raise VariantError("the closed-form resolvent applies to the Neumann variant only")
+        if y.variant is not self.variant:
+            raise ValueError(f"{y.variant.value} data given to a "
+                             f"{self.variant.value} resolvent")
         _check_segment("wave", y.u, self._xw)
         _check_segment("heat", y.w, self._xh)
         (u, v, w, u_prime), a, b, rhs, wave, heat = self.solve_rows(y.u[None], y.v[None], y.w[None])
-        x = StateVector(
-            u=u[0], v=v[0], w=w[0], variant=BoundaryVariant.NEUMANN, u_prime=u_prime[0]
-        )
+        x = StateVector(u=u[0], v=v[0], w=w[0], variant=self.variant, u_prime=u_prime[0])
         return ResolventSolution(
             x, a[0], b[0], rhs[0], (wave[0][0], wave[1][0]), (heat[0][0], heat[1][0])
         )
 
 
 def apply_resolvent(s: float, y: StateVector) -> StateVector:
-    """Evaluate x = (is - A)^(-1) y on the data grids (Neumann data only)."""
-    return ClosedFormResolvent(s, y.n_wave, y.n_heat).solve(y).state
+    """Evaluate x = (is - A)^(-1) y on the data grids, for the variant of y."""
+    return ClosedFormResolvent(s, y.n_wave, y.n_heat, y.variant).solve(y).state
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +432,24 @@ def resolvent_norm_discrete(s: float, disc: DiscreteGenerator) -> float:
 
 
 def resolvent_norm_sampled(
-    s: float, trials: int, grid: GridSpec, rng: np.random.Generator
+    s: float, trials: int, grid: GridSpec, rng: np.random.Generator, variant: BoundaryVariant
 ) -> float:
     """Randomized lower bound on the resolvent norm via the closed form.
 
     Maximizes ||x||_X / ||y||_X over ``trials`` draws of
     ``ClosedFormResolvent.random_triple``; an independent code path from
-    the matrix-based estimate.  One resolvent serves every trial.  The
-    trials are drawn, solved and normed as stacked rows, in chunks of at
-    most ``_STACK_ENTRIES`` node values per array, and each keeps the draw
-    and the ratio it has alone.  A non-finite ratio raises
-    OverflowEvaluationError naming its trial.
+    the matrix-based estimate.  One resolvent serves every trial, and the
+    grid must meet the resolution rule (ResolutionError), checked after
+    the resolvent's own frequency checks.  The trials are drawn, solved
+    and normed as stacked rows, in chunks of at most ``_STACK_ENTRIES``
+    node values per array, and each keeps the draw and the ratio it has
+    alone.  A non-finite ratio raises OverflowEvaluationError naming its
+    trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    resolvent = ClosedFormResolvent(s, grid.n_wave, grid.n_heat)
+    resolvent = ClosedFormResolvent(s, grid.n_wave, grid.n_heat, variant)
+    _check_resolution(s, grid)
     chunk = max(1, _STACK_ENTRIES // (max(grid.n_wave, grid.n_heat) + 1))
     ratios = []
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite ratios raise below
@@ -568,8 +559,8 @@ def sweep(
                 "grid_N": grid.n_wave,
                 "doubling_change": math.nan,
             }
-            if trials > 0 and variant is BoundaryVariant.NEUMANN:
-                row["norm_sampled"] = resolvent_norm_sampled(s_eff, trials, grid, rng)
+            if trials > 0:
+                row["norm_sampled"] = resolvent_norm_sampled(s_eff, trials, grid, rng, variant)
             out.append(row)
         return out
 

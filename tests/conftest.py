@@ -50,8 +50,10 @@ TANH_1 = 0.76159415595576488812
 # particular integrals for constant data (mpmath quadrature / closed forms)
 U_CONST_S10 = 0.18390715290764524523j
 UP_CONST_S10 = -0.5440211108893698134j
-W_CONST_S25 = 0.26318650401662008877 - 0.67423917105349633459j
-WP_CONST_S25 = -3.1706550695892494749 + 1.3064815587345915539j
+# W(0) = (1 - e^(-z))^2/(2 z^2) and W'(0) = z W(0), z = sqrt(25 i): the rod's
+# particular integral with W(1) = 0 and W'(0) = z W(0), mpmath at dps=30
+W_CONST_S25 = -0.00045948323243721591215 - 0.021088418418355604787j
+WP_CONST_S25 = 0.07293429979310332638 - 0.076183336888082026258j
 
 
 def mp_charfn(lam: complex, variant: BoundaryVariant, dps: int = 40) -> complex:
@@ -126,6 +128,12 @@ def smooth_triple(rng):
     pf, pg, ph = (np.polynomial.Polynomial(rng.standard_normal(5)) for _ in range(3))
     return lambda n_w, n_h: StateVector(
         u=pf(wave_nodes(n_w)), v=pg(wave_nodes(n_w)), w=ph(heat_nodes(n_h)))
+
+
+def in_variant(y, variant):
+    """Data y as data of ``variant``: Dirichlet data get f(-1) = 0, as the state space asks."""
+    f = y.u - y.u[0] if variant is BoundaryVariant.DIRICHLET else y.u
+    return StateVector(u=f, v=y.v, w=y.w, variant=variant)
 
 
 def defining_residual(s, y, x):

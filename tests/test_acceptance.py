@@ -30,7 +30,7 @@ from waveheat.spectrum import count_zeros_contour, decay_envelope, polish, seeds
 from waveheat.state import StateVector, heat_nodes, wave_nodes
 from waveheat.worker import _with_worker
 
-from conftest import defining_residual, smooth_triple
+from conftest import defining_residual, in_variant, smooth_triple
 
 NEU = BoundaryVariant.NEUMANN
 DIR = BoundaryVariant.DIRICHLET
@@ -170,7 +170,8 @@ def test_criterion_3_resolvent_growth(neumann_sweep):
     _check_growth(neumann_sweep, "3 neumann resolvent growth")
 
 
-def test_criterion_4_closed_form_resolvent(rng):
+@pytest.mark.parametrize("variant", [NEU, DIR], ids=["neumann", "dirichlet"])
+def test_criterion_4_closed_form_resolvent(variant, rng):
     worst_order = (math.inf, -math.inf)
     worst_bc = 0.0
     for s in (2.0, 10.0, 100.0):
@@ -179,7 +180,7 @@ def test_criterion_4_closed_form_resolvent(rng):
             make = smooth_triple(rng)
             errs = []
             for factor in (1, 2, 4):
-                y = make(base * factor, base * factor)
+                y = in_variant(make(base * factor, base * factor), variant)
                 errs.append(defining_residual(s, y, apply_resolvent(s, y)))
                 if factor == 1:
                     coupling = checks.resolvent_coupling(s, y)
@@ -189,7 +190,7 @@ def test_criterion_4_closed_form_resolvent(rng):
                 order = math.log2(errs[i] / errs[i + 1])
                 worst_order = (min(worst_order[0], order), max(worst_order[1], order))
                 assert abs(order - 2.0) <= 0.3
-    print(f"PASS criterion[4 closed form]: orders in [{worst_order[0]:.2f}, "
+    print(f"PASS criterion[4 {variant.value} closed form]: orders in [{worst_order[0]:.2f}, "
           f"{worst_order[1]:.2f}] (2.0 +- 0.3), worst coupling residual "
           f"{worst_bc:.1e} <= 1e-8")
 

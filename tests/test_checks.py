@@ -10,7 +10,7 @@ import pytest
 
 import waveheat
 from waveheat import characteristic, checks, resolvent, simulator
-from waveheat.characteristic import BoundaryVariant, ScaledValue
+from waveheat.characteristic import BoundaryVariant
 from waveheat.discretization import GridSpec, assemble
 from waveheat.errors import WaveHeatError
 from waveheat.simulator import EnergySeries
@@ -58,7 +58,7 @@ FAULTS = {
     "conjugate_pairs": (([_record(5, -0.1 + 17j)], [_record(-6, -0.1 - 17.001j)]), None),
     "contour_counts": ((NEU, [1, 2, 1]), None),
     "det_two_path": ((Y, (2.0, 17.0)), (resolvent, "ClosedFormResolvent", lambda real: (
-        lambda s, n_wave, n_heat: SimpleNamespace(M=np.eye(2), det=ScaledValue(2.0, 0.0))))),
+        lambda s, n_wave, n_heat, variant: SimpleNamespace(M=np.eye(2), det=2.0)))),
     "resolvent_coupling": ((10.0, Y), (resolvent.ClosedFormResolvent, "solve", _lift_w)),
     # the Dirichlet string is clamped: constant displacement is not stationary
     "kernel_vector": ((assemble(GridSpec(16, 16), DIR),), None),

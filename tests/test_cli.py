@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import waveheat.characteristic
-from waveheat import checks, resolvent
+from waveheat import checks, resolvent, spectrum
 from waveheat.cli import _apply_config_file, build_parser, main
 from waveheat.discretization import GridSpec
 from waveheat.errors import NoConvergenceError
@@ -368,6 +368,29 @@ class TestVerifyCommand:
         assert code == 2
         assert [line[:4] for line in out.splitlines()] == ["PASS"] * passed
         assert err == f"waveheat: numerical failure: {message}\n"
+
+    def test_any_exception_keeps_the_battery_order(self, tmp_path, capsys, forks, monkeypatch):
+        # a bug, not only a WaveHeatError, is raised after the checks that come
+        # before it, with or without the worker
+        polish = spectrum.polish
+
+        def failing(seed, variant):
+            if variant is waveheat.characteristic.BoundaryVariant.DIRICHLET:
+                raise ValueError("injected Dirichlet polish bug")
+            return polish(seed, variant)
+
+        monkeypatch.setattr(spectrum, "polish", failing)
+        argv = ["verify", "--nmax", "12", "--out", str(tmp_path)]
+        outputs = []
+        for sub in ("forked", "inline"):
+            if sub == "inline":
+                monkeypatch.delattr(os, "fork")
+            with pytest.raises(ValueError, match="^injected Dirichlet polish bug$"):
+                main(argv)
+            outputs.append(capsys.readouterr().out)
+        assert len(forks) == 1
+        assert outputs[0] == outputs[1]
+        assert [line[:4] for line in outputs[0].splitlines()] == ["PASS"] * 8
 
     def test_fresh_checkout_passes(self, tmp_path, capsys):
         code = main(["verify", "--nmax", "12", "--out", str(tmp_path)])
