@@ -1,6 +1,6 @@
 """Command-line entry point: sweeps, CSV emission and SVG plots.
 
-Exit codes: 0 success, 1 usage or I/O failure, 2 numerical failure.
+Exit codes: 0 success, 1 usage or I/O failure, 2 numerical failure or out of memory.
 A key=value config file can seed any long flag, a boolean one with true
 or false; explicit flags win.
 """
@@ -342,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except WaveHeatError as exc:
         print(f"waveheat: numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_EXIT
+    except MemoryError as exc:  # such as a grid too large to allocate
+        print(f"waveheat: out of memory: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
     except OSError as exc:
         print(f"waveheat: {exc}", file=sys.stderr)

@@ -8,23 +8,19 @@ interface.  Variation of constants gives, with z = sqrt(is),
     w(xi) = -b(s) sigma(xi) + W(xi),   sigma(xi) = e^(-z xi) - e^(-z (2-xi)),
 
 with phi = cos(s (xi+1)) for the Neumann and sin(s (xi+1)) for the
-Dirichlet variant.  U is the particular integral of the string, and the
-rod's W is built from the decaying halves
-L(xi) = int_0^xi e^(-z (xi-r)) h dr and R(xi) = int_xi^1 e^(-z (r-xi)) h dr:
-
-    W = [L + R - e^(-z (1-xi)) L(1)] / (2z),   W' = [R - L - e^(-z (1-xi)) L(1)] / 2,
-
-which solves is W - W'' = h with W(1) = 0 and W'(0) = z W(0).  Every
-term is bounded by the data, so the 2x2 interface system for (a, b) has
-O(s) entries and nothing exponentially large cancels.  Its determinant is
-2 e^(-z) is D(is) for Neumann and 2 e^(-z) s D(is) for Dirichlet, with D
-the characteristic determinant of the variant.  Everything the data do
-not enter (kernel quadrature, exponentials, the determinant and the
-homogeneous profiles) is set up once per frequency and grid, by the
-constructor of ``ClosedFormResolvent``.  The data grids have cells of one
-width, so the kernel quadrature folds into two weights per cell: each
-exponential splits into a node, a cell and a panel factor, each of modulus
-at most exp(|Re kappa| (x_n - x_0)) on the grid x_0 < ... < x_n, and a
+Dirichlet variant.  U and W are the particular integrals of the string
+and the rod (``_wave_rows``, ``_heat_rows``), W built from the decaying
+halves of the rod kernel.  Every term is bounded by the data, so the 2x2
+interface system for (a, b) has O(s) entries and nothing exponentially
+large cancels.  Its determinant is 2 e^(-z) is D(is) for Neumann and
+2 e^(-z) s D(is) for Dirichlet, with D the characteristic determinant of
+the variant.  Everything the data do not enter (kernel quadrature,
+exponentials, the determinant and the homogeneous profiles) is set up
+once per frequency and grid, by the constructor of
+``ClosedFormResolvent``.  The data grids have cells of one width, so the
+kernel quadrature folds into two weights per cell: each exponential
+splits into a node, a cell and a panel factor, each of modulus at most
+exp(|Re kappa| (x_n - x_0)) on the grid x_0 < ... < x_n, and a
 particular integral costs a few operations and one prefix sum per cell.
 That split is why |s| stays below the guard Re sqrt(is) <= 600: beyond
 it the rod's node factor exp(Re z) would overflow.
@@ -149,8 +145,8 @@ class ResolventSolution(NamedTuple):
     a: complex
     b: complex
     rhs: np.ndarray  # (p, q), the right-hand side of the interface system
-    wave: tuple[np.ndarray, np.ndarray]  # (U, U') at the wave nodes
-    heat: tuple[np.ndarray, np.ndarray]  # (W, W') at the heat nodes
+    wave: tuple[np.ndarray, np.ndarray]  # (U, U') at the wave nodes, as in ``_wave_rows``
+    heat: tuple[np.ndarray, np.ndarray]  # (W, W') at the heat nodes, as in ``_heat_rows``
 
 
 class ClosedFormResolvent:
@@ -161,14 +157,14 @@ class ClosedFormResolvent:
     the interface determinant ``det`` and the interface matrix ``M``,
     whose determinant is ``det`` (the ``det_two_path`` check), the
     homogeneous profiles phi, phi' and sigma, and the carriers of
-    ``random_triple``.  It rejects s = 0, Re sqrt(is) > 600 (the split
+    ``random_rows``.  It rejects s = 0, Re sqrt(is) > 600 (the split
     kernel exponentials) and an underflowing determinant, and warns for
     |s| < 2, outside the calibrated frequency range.  The methods do the
     per-data work on stacked data: ``random_rows`` draws and ``solve_rows``
-    solves (rows, nodes) arrays, and ``random_triple`` and ``solve`` are
-    their one-row case.  Every step is elementwise or runs along the last
-    axis.  ``resolvent_norm_sampled`` stacks at most ``_STACK_ENTRIES`` =
-    2048 node values per array, which kept peak RSS within 0.1 MB of the
+    solves (rows, nodes) arrays, and ``solve`` is the one-row case.  Every
+    step is elementwise or runs along the last axis.
+    ``resolvent_norm_sampled`` stacks at most ``_STACK_ENTRIES`` = 2048
+    node values per array, which kept peak RSS within 0.1 MB of the
     one-trial loop on the ``verify`` and ``envelope`` benchmark workloads.
     """
 
@@ -215,55 +211,45 @@ class ClosedFormResolvent:
             (xh.astype(complex), layer.real.astype(complex), layer.imag.astype(complex)),
         )
 
-    def particular_wave(self, y: StateVector) -> tuple[np.ndarray, np.ndarray]:
-        """Particular integral of the forced oscillator at every wave node.
-
-        Returns (U, U') with
-            U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
-            U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr
-        for the piecewise-linear data (f, g) = (y.u, y.v): half the
-        difference and the sum of the kernel integrals with kappa = +-is.
-        """
-        _check_segment("wave", y.u, self._xw)
-        return self._wave_rows(y.u, y.v)
-
-    def particular_heat(self, y: StateVector) -> tuple[np.ndarray, np.ndarray]:
-        """Particular integral of the forced diffusion operator at every heat node.
-
-        Returns (W, W') with
-            W  = [L + R - e^(-z (1-xi)) L(1)] / (2z)
-            W' = [R - L - e^(-z (1-xi)) L(1)] / 2,        z = sqrt(is),
-        from the decaying halves L(xi) = int_0^xi e^(-z (xi-r)) h(r) dr and
-        R(xi) = int_xi^1 e^(-z (r-xi)) h(r) dr of h = y.w, each the kernel
-        integral with kappa = -z, R in the reflected variable 1 - xi.
-        W solves is W - W'' = h with W(1) = 0 and W'(0) = z W(0).
-        """
-        _check_segment("heat", y.w, self._xh)
-        return self._heat_rows(y.w)
-
     def _wave_rows(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (U, U') along the last axis of the wave data
+        """The string's (U, U') along the last axis of piecewise-linear wave data (f, g):
+
+            U(xi)  = (1/s) int_{-1}^{xi} sin(s (xi - r)) (i s f(r) + g(r)) dr
+            U'(xi) = int_{-1}^{xi} cos(s (xi - r)) (i s f(r) + g(r)) dr,
+
+        half the difference and the sum of the kernel integrals with kappa = +-is.
+        """
         s = self.s
         grow, decay = self._wave(1j * s * f + g)
         return 0.5 * (grow - decay) / (1j * s), 0.5 * (grow + decay)
 
     def _heat_rows(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (W, W') along the last axis of the heat data
-        (left,), (right,) = self._heat(h), self._heat(h[..., ::-1])
-        right = right[..., ::-1]
+        """The rod's (W, W') along the last axis of the heat data h, with z = sqrt(is):
+
+            W = [L + R - e^(-z (1-xi)) L(1)] / (2z),   W' = [R - L - e^(-z (1-xi)) L(1)] / 2,
+
+        from L(xi) = int_0^xi e^(-z (xi-r)) h dr and R(xi) = int_xi^1 e^(-z (r-xi)) h dr,
+        one kernel call with kappa = -z on h and on h reflected.  W solves
+        is W - W'' = h with W(1) = 0 and W'(0) = z W(0).
+        """
+        (both,) = self._heat(np.stack([h, h[..., ::-1]]))
+        left, right = both[0], both[1, ..., ::-1]
         far = self._tail * left[..., -1:]
         return (left + right - far) / (2.0 * self.z), 0.5 * (right - left - far)
 
     def random_rows(
         self, rng: np.random.Generator, rows: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``rows`` data triples (f, g, h), stacked as (rows, nodes) arrays.
+        """``rows`` random smooth data triples (f, g, h), stacked as (rows, nodes) arrays.
 
-        Row k holds the triple the (k+1)-th of ``rows`` ``random_triple``
-        calls would draw, bit for bit: one draw of 60 rows normals is the
-        60-normal draws of those calls in turn, and every step of the
-        construction is elementwise.  Dirichlet rows have f(-1) subtracted,
-        so that the data lie in the state space.
+        Low-order polynomials plus oscillation at rate s on the wave segment
+        and an interface boundary layer on the heat segment, so that norm
+        sampling can excite the resonant response.  A row's 60 normals hold
+        nine complex coefficient vectors, of lengths 4, 3, 3 for each of f,
+        g and h in turn, each as its real then its imaginary parts.  Row k
+        is, bit for bit, the (k+1)-th of ``rows`` one-row calls: the steps
+        are elementwise.  Dirichlet rows have f(-1) subtracted, so that the
+        data lie in the state space.
         """
         normals = rng.standard_normal(60 * rows).reshape(rows, 60)
         draw = iter(np.split(normals, np.cumsum([4, 4, 3, 3, 3, 3] * 3)[:-1], axis=1))
@@ -286,25 +272,12 @@ class ClosedFormResolvent:
             f = f - f[:, :1]
         return f, g, h
 
-    def random_triple(self, rng: np.random.Generator) -> StateVector:
-        """Random smooth data with content at the frequency scales of the problem.
-
-        Low-order polynomials plus oscillation at rate s on the wave segment
-        and an interface boundary layer on the heat segment, so that
-        randomized norm sampling can excite the resonant response.  One
-        draw of 60 normals holds the nine complex coefficient vectors, three
-        of lengths 4, 3, 3 for each of f, g and h in turn, each vector as its
-        real parts followed by its imaginary parts.  The one-row case of
-        ``random_rows``.
-        """
-        f, g, h = self.random_rows(rng, 1)
-        return StateVector(u=f[0], v=g[0], w=h[0], variant=self.variant)
-
     def solve_rows(self, f: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
         """``solve`` for stacked data rows (f, g, h), each (rows, nodes).
 
         Returns the fields of ``ResolventSolution``, each with a leading
-        row axis, and the state as its node arrays (u, v, w, u').
+        row axis, and the state as its node arrays (u, v, w, u'); the wave
+        and heat fields are ``_wave_rows`` and ``_heat_rows`` of the data.
         """
         s = self.s
         wave, heat = self._wave_rows(f, g), self._heat_rows(h)
@@ -387,7 +360,7 @@ def arpack_start(dim: int) -> np.ndarray:
 
 def _norm_operator(s: float, disc: DiscreteGenerator):
     """F^T B^(-1) W^(-1) B^(-H) F, B = is I - A_h, W = F F^T: a Hermitian PSD LinearOperator."""
-    import scipy.sparse.linalg as spla  # on use: ``import waveheat`` loads no scipy.sparse
+    import scipy.sparse.linalg as spla  # on use: importing this module loads no scipy.sparse
 
     shifted = ShiftedSolve(disc, 1j * s)
     w_solve = disc.gram_solver()
@@ -437,7 +410,7 @@ def resolvent_norm_sampled(
     """Randomized lower bound on the resolvent norm via the closed form.
 
     Maximizes ||x||_X / ||y||_X over ``trials`` draws of
-    ``ClosedFormResolvent.random_triple``; an independent code path from
+    ``ClosedFormResolvent.random_rows``; an independent code path from
     the matrix-based estimate.  One resolvent serves every trial, and the
     grid must meet the resolution rule (ResolutionError), checked after
     the resolvent's own frequency checks.  The trials are drawn, solved

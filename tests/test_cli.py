@@ -208,6 +208,17 @@ class TestResolventCommand:
         assert code == 2
         assert err == "sweep failed: injected doubled-grid fault\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--double-check"]], ids=["one_process", "worker"])
+    def test_out_of_memory_exits_two(self, flags, tmp_path, capfd, monkeypatch):
+        def fail(grid, variant):
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(resolvent, "assemble", fail)  # in the worker too
+        code = main(["resolvent", "--s-min", "10", "--s-max", "20", "--s-points", "2",
+                     "--out", str(tmp_path)] + flags)
+        assert code == 2
+        assert capfd.readouterr().err == "waveheat: out of memory: injected\n"
+
     def test_bad_frequency_range_exits_one(self, tmp_path):
         assert main(["resolvent", "--s-min", "1", "--out", str(tmp_path)]) == 1
 
@@ -268,6 +279,20 @@ class TestSimulateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "k=1" in out and "k=2" in out and "slope separation" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolvent", "--s-min", "10", "--s-max", "1e15", "--s-points", "2"],
+    ["resolvent", "--s-min", "10", "--s-max", "1e15", "--s-points", "2", "--double-check"],
+    ["simulate", "--grid", "1000000000000000"],
+], ids=["resolvent", "resolvent_worker", "simulate"])
+def test_unallocatable_grid_exits_two(argv, tmp_path, capfd):
+    # numpy refuses the PiB node arrays at once, before any memory is touched
+    code = main(argv + ["--out", str(tmp_path)])
+    err = capfd.readouterr().err
+    assert code == 2
+    assert err.startswith("waveheat: out of memory: Unable to allocate")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestConfigFile:
@@ -428,12 +453,21 @@ class TestVerifyCommand:
             assert err.count("\n") == 1 and "nmax" in err
 
 
-def test_import_loads_no_sparse_module():
-    # the discrete norm imports scipy.sparse.linalg when it runs, not before
-    code = ("import sys, waveheat.cli; "
-            "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules])")
+def _loaded_after(imports: str, modules: tuple[str, ...]) -> str:
+    """Those of ``modules`` in sys.modules after ``import <imports>`` in a new interpreter."""
+    code = f"import sys, {imports}; print([m for m in {modules!r} if m in sys.modules])"
     src = str(Path(waveheat.characteristic.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_sparse_module():
+    # the discrete norm imports scipy.sparse.linalg when it runs, not before
+    assert _loaded_after("waveheat.cli", ("scipy.sparse", "scipy.sparse.linalg")) == "[]"
+
+
+def test_submodule_import_loads_only_its_own_dependencies():
+    # the package root imports nothing, so neither module brings in scipy
+    assert _loaded_after("waveheat.spectrum, waveheat.svgplot", ("scipy",)) == "[]"

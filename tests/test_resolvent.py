@@ -65,6 +65,12 @@ def resolvent_on(s, y):
     return ClosedFormResolvent(s, y.n_wave, y.n_heat, y.variant)
 
 
+def one_row(cf, rng):
+    """Row 0 of ``cf.random_rows(rng, 1)``, as a state of the resolvent's variant."""
+    f, g, h = cf.random_rows(rng, 1)
+    return StateVector(u=f[0], v=g[0], w=h[0], variant=cf.variant)
+
+
 def mp_heat_constant(s, h, xi):
     """(W, W') of constant rod data h at the points xi, from the closed form in mpmath.
 
@@ -111,20 +117,20 @@ class TestParticularIntegrals:
     def test_wave_zero_data(self):
         zeros = np.zeros(33)
         y = wave_data(zeros, zeros)
-        u_val, u_der = resolvent_on(5.0, y).particular_wave(y)
+        u_val, u_der = resolvent_on(5.0, y).solve(y).wave
         assert not u_val.any() and not u_der.any()
 
     def test_wave_empty_range(self):
         # the first wave node is xi = -1, where the integration range is empty
         ones = np.ones(33)
         y = wave_data(ones, ones)
-        u_val, u_der = resolvent_on(5.0, y).particular_wave(y)
+        u_val, u_der = resolvent_on(5.0, y).solve(y).wave
         assert u_val[0] == 0 and u_der[0] == 0
 
     def test_wave_constant_data_oracle(self):
         ones, zeros = np.ones(65), np.zeros(65)
         y = wave_data(ones, zeros)
-        u_val, u_der = resolvent_on(10.0, y).particular_wave(y)
+        u_val, u_der = resolvent_on(10.0, y).solve(y).wave
         assert u_val[-1] == pytest.approx(U_CONST_S10, rel=1e-8)
         assert u_der[-1] == pytest.approx(UP_CONST_S10, rel=1e-8)
 
@@ -148,12 +154,12 @@ class TestParticularIntegrals:
             for part in (0, 1)
         )
         y = wave_data(f, g)
-        got = resolvent_on(s, y).particular_wave(y)[0][node]
+        got = resolvent_on(s, y).solve(y).wave[0][node]
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_heat_zero_data(self):
         y = heat_data(np.zeros(17))
-        w_val, w_der = resolvent_on(9.0, y).particular_heat(y)
+        w_val, w_der = resolvent_on(9.0, y).solve(y).heat
         assert not w_val.any() and not w_der.any()
 
     def test_heat_empty_range(self):
@@ -161,7 +167,7 @@ class TestParticularIntegrals:
         # L's range is empty at xi = 0, where W' = z W
         s = 9.0
         y = heat_data(np.ones(17))
-        w_val, w_der = resolvent_on(s, y).particular_heat(y)
+        w_val, w_der = resolvent_on(s, y).solve(y).heat
         _, (far_der,) = mp_heat_constant(s, 1.0, [1.0])
         assert w_val[-1] == 0
         assert w_der[-1] == pytest.approx(far_der, rel=1e-12)
@@ -169,7 +175,7 @@ class TestParticularIntegrals:
 
     def test_heat_constant_data_oracle(self):
         y = heat_data(np.ones(65))
-        w_val, w_der = resolvent_on(25.0, y).particular_heat(y)
+        w_val, w_der = resolvent_on(25.0, y).solve(y).heat
         assert w_val[0] == pytest.approx(W_CONST_S25, rel=1e-8)
         assert w_der[0] == pytest.approx(WP_CONST_S25, rel=1e-8)
 
@@ -193,7 +199,7 @@ class TestParticularIntegrals:
             expected = complex(sum(mp.quad(integrand, [mp.mpf(c) / n, mp.mpf(c + 1) / n])
                                    for c in range(n)))
         y = heat_data(h)
-        got = resolvent_on(s, y).particular_heat(y)[0][node]
+        got = resolvent_on(s, y).solve(y).heat[0][node]
         assert got == pytest.approx(expected, rel=1e-8)
 
     # n = None takes the sweep grid; 16 cells at high |s| need subdivided cells
@@ -207,7 +213,7 @@ class TestParticularIntegrals:
         n = n or required_grid(s, factor=2.5).n_wave
         grid = wave_nodes(n)
         y = wave_data(np.full(n + 1, f), np.full(n + 1, g))
-        u_val, u_der = resolvent_on(s, y).particular_wave(y)
+        u_val, u_der = resolvent_on(s, y).solve(y).wave
         theta = s * (grid + 1.0)
         u_err = np.abs(u_val - phi * (1.0 - np.cos(theta)) / s**2) / (2 * abs(phi) / s**2)
         d_err = np.abs(u_der - phi * np.sin(theta) / s) / (abs(phi) / abs(s))
@@ -223,7 +229,7 @@ class TestParticularIntegrals:
         z = principal_sqrt(1j * s)
         n = n or required_grid(s, factor=2.5).n_heat
         y = heat_data(np.full(n + 1, h))
-        w_val, w_der = resolvent_on(s, y).particular_heat(y)
+        w_val, w_der = resolvent_on(s, y).solve(y).heat
         w_ref, d_ref = mp_heat_constant(s, h, heat_nodes(n))
         w_err = np.abs(w_val - w_ref) / (h / abs(z) ** 2)
         d_err = np.abs(w_der - d_ref) / (h / abs(z))
@@ -341,16 +347,14 @@ class TestCoefficients:
         assert ClosedFormResolvent(s, 16, 16, variant).det == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("entry", [
-        lambda s, y: resolvent_on(s, y).particular_wave(y),
-        lambda s, y: resolvent_on(s, y).particular_heat(y),
         lambda s, y: resolvent_on(s, y).solve(y),
-        lambda s, y: resolvent_on(s, y).random_triple(np.random.default_rng(0)),
+        lambda s, y: resolvent_on(s, y).random_rows(np.random.default_rng(0), 1),
         apply_resolvent,
         lambda s, y: resolvent_norm_sampled(s, 2, GridSpec(16, 16), np.random.default_rng(0),
                                             NEU),
         lambda s, y: checks.det_two_path(y, (s,)),
         lambda s, y: checks.resolvent_coupling(s, y),
-    ], ids=["particular_wave", "particular_heat", "solve", "random_triple", "apply_resolvent",
+    ], ids=["solve", "random_rows", "apply_resolvent",
             "resolvent_norm_sampled", "det_two_path", "resolvent_coupling"])
     def test_every_entry_point_warns_below_two(self, entry, rng):
         y = smooth_triple(rng)(16, 16)
@@ -598,7 +602,7 @@ class TestNorms:
         rng = np.random.default_rng(seed)
         cf, ratios = ClosedFormResolvent(s, grid.n_wave, grid.n_heat, variant), []
         for _ in range(trials):
-            y = cf.random_triple(rng)
+            y = one_row(cf, rng)
             ratios.append(apply_resolvent(s, y).norm_X / y.norm_X)
         sampled = resolvent_norm_sampled(s, trials, grid, np.random.default_rng(seed), variant)
         assert sampled == max(ratios)
@@ -614,8 +618,8 @@ class TestNorms:
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("grid", [required_grid(100.0), GridSpec(16, 16)])
-    def test_random_triple_keeps_the_draw_order(self, grid):
-        # random_triple takes one draw of 60 normals; its triples are the
+    def test_one_row_keeps_the_draw_order(self, grid):
+        # a one-row draw takes 60 normals at once; its triples are the
         # ones drawn with 18 calls, one per real or imaginary coefficient vector
         s, xw, xh = 100.0, wave_nodes(grid.n_wave), heat_nodes(grid.n_heat)
         osc, layer = np.exp(1j * s * xw), np.exp(-principal_sqrt(1j * s) * xh)
@@ -633,7 +637,7 @@ class TestNorms:
         for seed in (0, 1, 11):
             rng, rng_18 = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
-                y = cf.random_triple(rng)
+                y = one_row(cf, rng)
                 for got, expected in zip((y.u, y.v, y.w), triple_by_18_calls(rng_18)):
                     assert got.tobytes() == expected.tobytes()
 
@@ -653,7 +657,7 @@ class TestNorms:
         sampled = resolvent_norm_sampled(s, trials, grid, rng, variant)
         cf, ratios = ClosedFormResolvent(s, grid.n_wave, grid.n_heat, variant), []
         for _ in range(trials):
-            y = cf.random_triple(rng_1)
+            y = one_row(cf, rng_1)
             ratios.append(cf.solve(y).state.norm_X / y.norm_X)
         assert sampled == max(ratios)
         # the draws of 60 trials normals leave the generator where later draws expect it
@@ -663,8 +667,8 @@ class TestNorms:
 
     @pytest.mark.parametrize("s, rows", [(10.0, 25), (50.0, 10), (1000.0, 1)])
     def test_stacked_calls_stay_within_the_budget(self, s, rows, monkeypatch):
-        # a kernel call holds rows of at most _STACK_ENTRIES node values in
-        # all, or one row longer than that
+        # a kernel call holds stacks of rows of at most _STACK_ENTRIES node
+        # values in all, or of one row longer than that
         grid, shapes, kernel = required_grid(s, 2.5), [], _KernelIntegrals.__call__
 
         def recording(self, d):
@@ -673,10 +677,12 @@ class TestNorms:
 
         monkeypatch.setattr(_KernelIntegrals, "__call__", recording)
         resolvent_norm_sampled(s, 40, grid, np.random.default_rng(0), NEU)
-        assert all(n * nodes <= _STACK_ENTRIES or n == 1 for n, nodes in shapes)
-        assert max(n for n, _ in shapes) == rows
-        # the string kernel, and the rod kernel from each end
-        assert sum(n for n, _ in shapes) == 3 * 40
+        assert all(n * nodes <= _STACK_ENTRIES or n == 1 for *_, n, nodes in shapes)
+        assert max(n for *_, n, _ in shapes) == rows
+        # the string kernel on (rows, nodes), and the rod kernel on both ends
+        # at once, (2, rows, nodes)
+        assert sorted({len(shape) for shape in shapes}) == [2, 3]
+        assert sum(math.prod(shape[:-1]) for shape in shapes) == 3 * 40
 
     @pytest.mark.parametrize("trial, value", [(0, np.nan), (1, np.inf), (2, np.nan)])
     def test_non_finite_trial_raises(self, trial, value, monkeypatch):
