@@ -261,41 +261,38 @@ def _finished(checks: Iterator[Check]) -> tuple[list[Check], Exception | None]:
     return done, None
 
 
-def battery(nmax: int, rng: np.random.Generator) -> Iterator[Check]:
+def battery(nmax: int, seed: int) -> Iterator[Check]:
     """The 21 checks of ``waveheat verify``, in order.
 
-    ``rng`` draws the determinant samples and the sampled-norm data; roots are
-    polished for the branches 5 <= n <= nmax and for their mirrors.
+    A generator seeded with ``seed`` draws the determinant samples and the
+    sampled-norm data; roots are polished for the branches 5 <= n <= nmax
+    and for their mirrors.
 
     The N = 128 Crank-Nicolson trajectory and its three checks share no
-    input with the other 18.  A forked worker (``worker._with_worker``)
-    computes those 18, the 15 before the trajectory's checks and the three
-    after, from its own copy of ``rng`` while this process runs the
-    trajectory.  Each of the three parts stops at its first exception and
-    returns it with the checks it finished, and the worker returns the state
-    of its ``rng`` after each of its parts.  The battery yields the checks in
-    order and raises the error that comes first in that order, after the
-    same checks as in one process; when it raises or ends, ``rng`` is in the
-    state the battery in one process leaves it in.  Without ``os.fork`` the
-    battery runs in order in this process.
+    input with the other 18 and draw nothing.  A forked worker
+    (``worker._with_worker``) computes those 18, the 15 before the
+    trajectory's checks and the three after, from its own generator seeded
+    with ``seed``, so it draws what the battery in one process draws,
+    while this process runs the trajectory.  Each of the three parts stops
+    at its first exception and returns it with the checks it finished.  The
+    battery yields the checks in order and raises the error that comes
+    first in that order, after the same checks as in one process.  Without
+    ``os.fork`` the battery runs in order in this process.
     """
     if not hasattr(os, "fork"):
+        rng = np.random.default_rng(seed)
         yield from _before_trajectory(nmax, rng)
         yield from _trajectory()
         yield from _after_trajectory(rng)
         return
 
     def others(received: Iterator[object]) -> tuple:
-        before = _finished(_before_trajectory(nmax, rng))
-        at_trajectory = rng.bit_generator.state
-        after = _finished(_after_trajectory(rng))
-        return before, at_trajectory, after, rng.bit_generator.state
+        rng = np.random.default_rng(seed)
+        return _finished(_before_trajectory(nmax, rng)), _finished(_after_trajectory(rng))
 
-    trajectory, (before, at_trajectory, after, at_end) = worker._with_worker(
+    trajectory, (before, after) = worker._with_worker(
         others, lambda send: _finished(_trajectory()))
-    parts = ((before, at_trajectory), (trajectory, at_trajectory), (after, at_end))
-    for (done, error), rng_state in parts:
-        rng.bit_generator.state = rng_state
+    for done, error in (before, trajectory, after):
         yield from done
         if error is not None:
             raise error

@@ -312,7 +312,7 @@ def cmd_verify(args) -> int:
         print("waveheat verify: --nmax must be >= 5", file=sys.stderr)
         return USAGE_EXIT
     failures = 0
-    for check in checks.battery(args.nmax, np.random.default_rng(args.seed)):
+    for check in checks.battery(args.nmax, args.seed):
         print(f"{'PASS' if check.passed else 'FAIL'}  {check.name:32s} {check.detail}")
         failures += not check.passed
     print(f"\n{failures} failing check(s)" if failures else "\nall checks passed")

@@ -216,61 +216,42 @@ class DiscreteGenerator:
 
         return times_f, times_f_t
 
-    def _factor_t(self, sigma, guard: bool) -> list:
-        """gttrf's factors (dl, d, du, du2, ipiv) and info of T at one shift, or per shift.
+    def _factor_t(self, sigma: complex, guard: bool) -> tuple[list, int]:
+        """gttrf's factors (dl, d, du, du2, ipiv) of T at one shift, and gttrf's info.
 
-        The bands of a 1-D complex array of shifts are one broadcast array, a
-        row per shift.  With ``guard`` a shift that is singular to working
-        precision raises SolveFailureError: gttrf meets an exactly zero pivot,
-        or the smallest pivot is at most dim(T) eps times T's largest entry.
+        With ``guard`` a shift that is singular to working precision raises
+        SolveFailureError: gttrf meets an exactly zero pivot, or the smallest
+        pivot is at most dim(T) eps times T's largest entry.
         """
-        nu, many = self.n_u, isinstance(sigma, np.ndarray)
-        shifts = sigma[:, None] if many else sigma
+        nu = self.n_u
         # (sigma I - A_qq) D with D = diag(sigma I_u, I_w): sigma scales the first nu columns
-        main = shifts - self.q_main
-        main[..., :nu] *= shifts
-        main[..., :nu] -= self.p_main
-        sub = np.empty(main.shape[:-1] + self.q_sub.shape, complex)
-        sup = np.empty_like(sub)
-        sub[...], sup[...] = -self.q_sub, -self.q_sup
-        sub[..., :nu] *= shifts
-        sup[..., : nu - 1] *= shifts
-        sub[..., : nu - 1] -= self.p_sub
-        sup[..., : nu - 1] -= self.p_sup
-        factors = []
-        rows = zip(sigma, sub, main, sup) if many else [(sigma, sub, main, sup)]
-        for shift, lower, diag, upper in rows:
-            *lu, info = zgttrf(lower, diag, upper)
-            if guard and (info > 0 or np.abs(lu[1]).min() <= len(diag) * _EPS * max(
-                    np.abs(lower).max(), np.abs(diag).max(), np.abs(upper).max())):
-                raise SolveFailureError(f"sigma I - A_h is singular at sigma = {shift}")
-            factors.append((lu, info))
-        return factors
+        main = sigma - self.q_main
+        main[:nu] *= sigma
+        main[:nu] -= self.p_main
+        sub, sup = (-self.q_sub).astype(complex), (-self.q_sup).astype(complex)
+        sub[:nu] *= sigma
+        sup[: nu - 1] *= sigma
+        sub[: nu - 1] -= self.p_sub
+        sup[: nu - 1] -= self.p_sup
+        *lu, info = zgttrf(sub, main, sup)
+        if guard and (info > 0 or np.abs(lu[1]).min() <= len(main) * _EPS * max(
+                np.abs(sub).max(), np.abs(main).max(), np.abs(sup).max())):
+            raise SolveFailureError(f"sigma I - A_h is singular at sigma = {sigma}")
+        return lu, info
 
-    def _det_t(self, sigma, guard: bool = False) -> ScaledValue:
-        """det T(sigma) = det(sigma I - A_h) from gttrf's pivots, reduced along the last axis.
+    def _det_t(self, sigma: complex, guard: bool = False) -> ScaledValue:
+        """det T(sigma) = det(sigma I - A_h) at one shift, from gttrf's pivots.
 
         At a root, where gttrf meets an exactly zero pivot, mantissa and log scale are 0.
         """
-        factors = self._factor_t(sigma, guard)
-        if many := isinstance(sigma, np.ndarray):
-            d, ipiv = (np.array([lu[k] for lu, _ in factors]).reshape(len(factors), -1)
-                       for k in (1, 4))
-            root = np.array([info > 0 for _, info in factors], dtype=bool)
-            d[root] = 1.0
-        else:
-            [((_, d, _, _, ipiv), info)] = factors
-            if info > 0:
-                return ScaledValue(0j, 0.0)
+        (_, d, _, _, ipiv), info = self._factor_t(sigma, guard)
+        if info > 0:
+            return ScaledValue(0j, 0.0)
         mag = np.abs(d)
         # gttrf's ipiv[i] (1-based) is i + 1, or i + 2 after an interchange, which flips the sign
-        n = d.shape[-1]
-        mantissa = (d / mag).prod(-1) * (1 - 2 * ((ipiv.sum(-1) - n * (n + 1) // 2) & 1))
-        log_scale = np.log(mag).sum(-1)
-        if not many:
-            return ScaledValue(complex(mantissa), float(log_scale))
-        mantissa[root], log_scale[root] = 0.0, 0.0
-        return ScaledValue(mantissa, log_scale)
+        n = len(d)
+        mantissa = (d / mag).prod() * (1 - 2 * ((ipiv.sum() - n * (n + 1) // 2) & 1))
+        return ScaledValue(complex(mantissa), float(np.log(mag).sum()))
 
     def char_det(self, sigma) -> ScaledValue:
         """The discrete characteristic determinant det(sigma I - A_h), scaled.
@@ -281,12 +262,15 @@ class DiscreteGenerator:
         sigma for every complex sigma, 0 included.  ``log_scale`` is the sum
         of log |pivot| of T's gttrf factors; ``mantissa`` is the product of
         the pivot phases, with a factor -1 for each row interchange.  An
-        array of points gives arrays of both fields.
+        array of points gives arrays of both fields, one factorization per point.
         """
         if np.ndim(sigma) == 0:
             return self._det_t(complex(sigma))
         points = np.asarray(sigma, dtype=complex)
-        return ScaledValue(*(v.reshape(points.shape) for v in self._det_t(points.ravel())))
+        mantissa, log_scale = np.empty(points.shape, complex), np.empty(points.shape)
+        for i, point in np.ndenumerate(points):
+            mantissa[i], log_scale[i] = self._det_t(complex(point))
+        return ScaledValue(mantissa, log_scale)
 
     def eigenvalues_near(self, seeds) -> np.ndarray:
         """One discrete eigenvalue per seed: a secant root of ``char_det``.
@@ -341,8 +325,8 @@ class DiscreteGenerator:
         circle.  The node count starts at 16 and is doubled until two
         successive levels give the same count, up to CONTOUR_NODE_CAP nodes.
         Each level keeps the mantissas of the level before, its even nodes,
-        and evaluates only its odd nodes, as one array: every node is one
-        gttrf factorization, made once.  det(sigma I - A_h) is a polynomial: there
+        and evaluates only its odd nodes: every node is one gttrf
+        factorization, made once.  det(sigma I - A_h) is a polynomial: there
         is no branch cut.  A node where gttrf meets a zero pivot raises
         ContourTooCloseError.
         """
@@ -390,7 +374,7 @@ class ShiftedSolve:
 
     def __init__(self, disc: DiscreteGenerator, sigma: complex):
         self._n_u, self.sigma = disc.n_u, complex(sigma)
-        [(self._lu, _)] = disc._factor_t(self.sigma, guard=True)
+        self._lu, _ = disc._factor_t(self.sigma, guard=True)
         nu = self._n_u
         # (sigma I - A_qq) (y_u, 0) reads these bands and reaches row n_u
         self._lift = self.sigma - disc.q_main[:nu]

@@ -273,6 +273,17 @@ class TestSimulateCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("variant", ["neumann", "dirichlet"])
+    def test_polynomial_profile_reports_one_slope(self, variant, tmp_path, capsys):
+        code = main(["simulate", "--variant", variant, "--grid", "32", "--tmax", "20",
+                     "--profile", "polynomial", "--out", str(tmp_path)])
+        assert code == 0
+        assert read_csv(tmp_path / "energy.csv")[0] == [
+            "t", "E", "dissipation_rate", "phi", "local_slope"]
+        out = capsys.readouterr().out
+        assert sum(line.startswith("polynomial k=1: slope") for line in out.splitlines()) == 1
+        assert "slope separation" not in out
+
     def test_k2_profile_reports_both_slopes(self, tmp_path, capsys):
         code = main(["simulate", "--grid", "64", "--tmax", "25",
                      "--profile", "k2", "--out", str(tmp_path)])
@@ -338,6 +349,20 @@ class TestConfigFile:
             else:
                 expected = file_flags.get(key, default)
             assert getattr(args, key) == expected, key
+
+    def test_equals_form_and_skipped_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\n   \n  # indented comment\nnmax=3\n\nvariant=dirichlet\n")
+        argv = _apply_config_file(["waveheat", "spectrum", f"--config={cfg}"])
+        assert argv == ["waveheat", "spectrum", "--nmax=3", "--variant=dirichlet",
+                        f"--config={cfg}"]
+        args = build_parser().parse_args(argv[1:])
+        assert (args.nmax, args.variant) == (3, "dirichlet")
+
+    def test_trailing_config_without_path_exits_one(self, tmp_path, capsys):
+        code = main(["spectrum", "--out", str(tmp_path), "--config"])
+        assert code == 1
+        assert "--config: expected one argument" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path):
         code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),
@@ -423,7 +448,7 @@ class TestVerifyCommand:
         assert code == 0
         # perfbench parses these lines: one PASS per check, in battery order
         lines = [line.split()[:2] for line in out.splitlines() if line[:4] in ("PASS", "FAIL")]
-        names = [c.name for c in checks.battery(12, np.random.default_rng(0))]
+        names = [c.name for c in checks.battery(12, 0)]
         assert lines == [["PASS", name] for name in names] and len(names) == 21
 
     def test_injected_sign_error_detected(self, tmp_path, capsys, monkeypatch):

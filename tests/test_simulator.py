@@ -71,6 +71,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(dt=dt, t_max=t_max, grid=GRID, variant=NEU)
 
+    @pytest.mark.parametrize("dt, stride, message", [
+        (0.0, 1, "dt must be positive"), (-1e-3, 1, "dt must be positive"),
+        (1e-3, 0, "output_stride must be >= 1")])
+    def test_non_positive_dt_or_stride_rejected(self, dt, stride, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(dt=dt, t_max=20.0, grid=GRID, variant=NEU, output_stride=stride)
+
+    def test_unequal_wave_arrays_rejected(self):
+        with pytest.raises(ValueError, match="share the wave grid"):
+            StateVector(u=np.ones(9), v=np.ones(8), w=np.ones(9))
+
 
 class TestStep:
     def test_kernel_vector_fixed_point(self):
@@ -575,6 +586,13 @@ class TestDecayFit:
         series = EnergySeries(times=t, energies=e, dissipation=np.zeros_like(t))
         slopes = [s for _, s in decade_slopes(series)]
         assert all(b <= a + 1e-9 for a, b in zip(slopes[:-1], slopes[1:]))
+
+    def test_history_shorter_than_a_decade_raises_window_error(self):
+        # t_hi / 10 falls before the first output, and t_hi < 4 times[1]
+        t = np.r_[0.0, np.linspace(1.0, 2.0, 11)]
+        series = EnergySeries(times=t, energies=np.ones_like(t), dissipation=np.zeros_like(t))
+        with pytest.raises(WindowError, match="too short for a decade"):
+            last_clean_decade(series)
 
     @pytest.mark.parametrize("fit", [decade_slopes, last_clean_decade])
     def test_history_at_the_floor_raises_window_error(self, fit):
