@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -277,15 +276,9 @@ def battery(nmax: int, seed: int) -> Iterator[Check]:
     at its first exception and returns it with the checks it finished.  The
     battery yields the checks in order and raises the error that comes
     first in that order, after the same checks as in one process.  Without
-    ``os.fork`` the battery runs in order in this process.
+    ``os.fork`` ``worker._with_worker`` runs the trajectory and then the
+    other 18 in this process, and the battery yields and raises the same.
     """
-    if not hasattr(os, "fork"):
-        rng = np.random.default_rng(seed)
-        yield from _before_trajectory(nmax, rng)
-        yield from _trajectory()
-        yield from _after_trajectory(rng)
-        return
-
     def others(received: Iterator[object]) -> tuple:
         rng = np.random.default_rng(seed)
         return _finished(_before_trajectory(nmax, rng)), _finished(_after_trajectory(rng))

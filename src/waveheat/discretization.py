@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.linalg.lapack import dpttrf, zgttrf, zgttrs, zpttrs
 
 from .characteristic import BoundaryVariant, ScaledValue
@@ -479,68 +480,52 @@ def assemble(grid: GridSpec, variant: BoundaryVariant) -> DiscreteGenerator:
 # domain-data profiles
 
 
-class _CosSum:
-    """Finite sum of amp*cos(freq*x + phase) atoms, closed under d/dx."""
+class _Cos(NamedTuple):
+    """amp cos(freq x + phase), closed under d/dx."""
 
-    def __init__(self, atoms):
-        self.atoms = [tuple(map(float, a)) for a in atoms]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for amp, freq, phase in self.atoms:
-            out = out + amp * np.cos(freq * x + phase)
-        return out
-
-    def deriv(self) -> "_CosSum":
-        return _CosSum(
-            [(amp * freq, freq, phase + math.pi / 2) for amp, freq, phase in self.atoms]
-        )
-
-
-class _ShiftedPoly:
-    """Polynomial in (sign*x + shift); derivatives pick up the sign."""
-
-    def __init__(self, coeffs, sign: float = 1.0, shift: float = 0.0):
-        self.poly = np.polynomial.Polynomial(coeffs)
-        self.sign = float(sign)
-        self.shift = float(shift)
+    amp: float
+    freq: float
+    phase: float
 
     def __call__(self, x):
-        return self.poly(self.sign * np.asarray(x, dtype=float) + self.shift)
+        return self.amp * np.cos(self.freq * np.asarray(x, dtype=float) + self.phase)
 
-    def deriv(self) -> "_ShiftedPoly":
-        d = _ShiftedPoly([0.0], self.sign, self.shift)
-        d.poly = self.poly.deriv() * self.sign
-        return d
+    def deriv(self) -> "_Cos":
+        return _Cos(self.amp * self.freq, self.freq, self.phase + math.pi / 2)
 
 
-def _in_tau(coeffs):  # polynomial in (xi + 1)
-    return _ShiftedPoly(coeffs, sign=1.0, shift=1.0)
+def _in_tau(coeffs) -> Polynomial:  # polynomial in (xi + 1)
+    return Polynomial(coeffs, domain=[-1, 0], window=[0, 1])
 
 
-def _in_sigma(coeffs):  # polynomial in (1 - xi)
-    return _ShiftedPoly(coeffs, sign=-1.0, shift=1.0)
+def _in_sigma(coeffs) -> Polynomial:  # polynomial in (1 - xi)
+    return Polynomial(coeffs, domain=[0, 1], window=[1, 0])
 
 
 _PI = math.pi
 
+_DIRICHLET_K2 = (
+    _in_tau([0.0, 1.0, 0.0, 1.0]),
+    _in_tau([0.0, 1.0, -14.0, 7.0]),
+    _in_sigma([0.0, -7.0, 0.0, 1.0]),
+)
+
 _PROFILES: dict[tuple[str, str, int], tuple] = {
     # Neumann: u'(-1)=0, w(1)=0, v(0)=w(0), u'(0)=w'(0)
     ("neumann", "smooth_bump", 1): (
-        _CosSum([(1.0, _PI, _PI)]),          # cos(pi (xi + 1))
-        _CosSum([(0.5, _PI, 0.0)]),          # 0.5 cos(pi xi)
-        _CosSum([(0.5, _PI / 2, 0.0)]),      # 0.5 cos(pi xi / 2)
+        _Cos(1.0, _PI, _PI),          # cos(pi (xi + 1))
+        _Cos(0.5, _PI, 0.0),          # 0.5 cos(pi xi)
+        _Cos(0.5, _PI / 2, 0.0),      # 0.5 cos(pi xi / 2)
     ),
     ("neumann", "smooth_bump", 2): (
-        _CosSum([(1.0, _PI, _PI)]),
-        _CosSum([(-4.0, _PI, 0.0)]),
-        _CosSum([(-4.0, _PI / 2, 0.0)]),
+        _Cos(1.0, _PI, _PI),
+        _Cos(-4.0, _PI, 0.0),
+        _Cos(-4.0, _PI / 2, 0.0),
     ),
     ("neumann", "polynomial", 1): (
         _in_tau([0.0, 0.0, 3.0, -1.0]),
-        _ShiftedPoly([-4.0, 1.0, 1.0]),
-        _ShiftedPoly([-4.0, 3.0, 1.0]),
+        Polynomial([-4.0, 1.0, 1.0]),
+        Polynomial([-4.0, 3.0, 1.0]),
     ),
     ("neumann", "polynomial", 2): (
         _in_tau([0.0, 0.0, 1.0, 1.0]),
@@ -549,33 +534,23 @@ _PROFILES: dict[tuple[str, str, int], tuple] = {
     ),
     # Dirichlet: u(-1)=v(-1)=0, w(1)=0, v(0)=w(0), u'(0)=w'(0)
     ("dirichlet", "smooth_bump", 1): (
-        _CosSum([(1.0, _PI, _PI / 2)]),      # sin(pi (xi + 1))
-        _CosSum([(1.0, _PI, -_PI / 2)]),     # sin(pi xi)
-        _CosSum([(1.0, _PI, _PI / 2)]),      # -sin(pi (1 - xi))
+        _Cos(1.0, _PI, _PI / 2),      # sin(pi (xi + 1))
+        _Cos(1.0, _PI, -_PI / 2),     # sin(pi xi)
+        _Cos(1.0, _PI, _PI / 2),      # -sin(pi (1 - xi))
     ),
-    ("dirichlet", "smooth_bump", 2): (
-        _in_tau([0.0, 1.0, 0.0, 1.0]),
-        _in_tau([0.0, 1.0, -14.0, 7.0]),
-        _in_sigma([0.0, -7.0, 0.0, 1.0]),
-    ),
+    ("dirichlet", "smooth_bump", 2): _DIRICHLET_K2,
     ("dirichlet", "polynomial", 1): (
         _in_tau([0.0, 0.0, 1.0]),
         _in_tau([0.0, -3.0]),
         _in_sigma([0.0, -4.0, 1.0]),
     ),
-    ("dirichlet", "polynomial", 2): (
-        _in_tau([0.0, 1.0, 0.0, 1.0]),
-        _in_tau([0.0, 1.0, -14.0, 7.0]),
-        _in_sigma([0.0, -7.0, 0.0, 1.0]),
-    ),
+    ("dirichlet", "polynomial", 2): _DIRICHLET_K2,
 }
 
 
 class DomainDatum(NamedTuple):
     state: StateVector
     certificate: dict[str, float]
-    profile: str
-    k: int
 
 
 def _constraint_residuals(u, v, w, variant: BoundaryVariant, k: int) -> dict[str, float]:
@@ -644,4 +619,4 @@ def make_domain_data(
     state = StateVector(
         u=u(xw), v=v(xw), w=w(xh), variant=variant, u_prime=u.deriv()(xw)
     )
-    return DomainDatum(state=state, certificate=cert, profile=profile, k=k)
+    return DomainDatum(state=state, certificate=cert)

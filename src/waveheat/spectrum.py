@@ -220,52 +220,24 @@ def count_zeros_contour(
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
-    """Deviation and real-part scaling summary over a set of records."""
+    """The band of |Re lam| |Im lam|^(1/2) over the upper half of a set of records."""
 
-    rows: list[dict]
     product_min: float
     product_max: float
-    max_center_deviation_ratio: float
-    all_re_negative: bool
-    containment_threshold: int | None
 
 
 def asymptotics_report(records: list[EigenvalueRecord]) -> AsymptoticsReport:
-    """Tabulate Im-deviation from the seed lattice and |Re lam|*|Im lam|^(1/2).
+    """The least and largest |Re lam| |Im lam|^(1/2) over the upper half of the records.
 
-    The product column measures the two-sided real-part scaling; its spread
-    over the upper half of the index range is the empirical constant band.
-    Requires at least 20 records.
+    The product measures the two-sided real-part scaling; its spread over
+    the half of the records with the larger |Im lam| is the empirical
+    constant band.  Requires at least 20 records.
     """
     if len(records) < 20:
         raise InsufficientDataError(f"need >= 20 records, got {len(records)}")
-    rows = []
-    for rec in sorted(records, key=lambda r: abs(r.lam.imag)):
-        center_im, rad = _disk(rec.n, rec.variant)
-        deviation = abs(rec.lam.imag - center_im)
-        rows.append(
-            {
-                "n": rec.n,
-                "re": rec.lam.real,
-                "im": rec.lam.imag,
-                "deviation": deviation,
-                "deviation_ratio": deviation / rad,
-                "product": abs(rec.lam.real) * abs(rec.lam.imag) ** 0.5,
-                "contained": rec.contained,
-            }
-        )
-    top = rows[len(rows) // 2 :]
-    products = [r["product"] for r in top]
-    not_contained = [abs(r["n"]) for r in rows if not r["contained"]]
-    threshold = (max(not_contained) + 1) if not_contained else None
-    return AsymptoticsReport(
-        rows=rows,
-        product_min=min(products),
-        product_max=max(products),
-        max_center_deviation_ratio=max(r["deviation_ratio"] for r in rows),
-        all_re_negative=all(r["re"] < 0.0 for r in rows),
-        containment_threshold=threshold,
-    )
+    top = sorted(records, key=lambda r: abs(r.lam.imag))[len(records) // 2 :]
+    products = [abs(r.lam.real) * abs(r.lam.imag) ** 0.5 for r in top]
+    return AsymptoticsReport(product_min=min(products), product_max=max(products))
 
 
 def decay_envelope(records: list[EigenvalueRecord], ts) -> np.ndarray:

@@ -71,7 +71,7 @@ def svg_plot(
     logx: bool = False,
     logy: bool = False,
 ) -> None:
-    xs = [float(x) for s in series for x in s.x if math.isfinite(x)]
+    xs = [float(x) for s in series for x in s.x if math.isfinite(x) and (not logx or x > 0)]
     ys = [float(y) for s in series for y in s.y if math.isfinite(y) and (not logy or y > 0)]
     if not xs or not ys:
         raise ValueError("nothing to plot")

@@ -18,8 +18,14 @@ from waveheat.discretization import (
     make_domain_data,
 )
 from waveheat.errors import InfeasibleProfileError, SolveFailureError
-from waveheat.resolvent import required_grid, resolvent_norm_discrete, snap_to_resonance
+from waveheat.resolvent import (
+    _DIRICHLET_BRANCH_0,
+    required_grid,
+    resolvent_norm_discrete,
+    snap_to_resonance,
+)
 from waveheat.simulator import CrankNicolsonStepper
+from waveheat.spectrum import EigenvalueSeed, polish, seeds
 from waveheat.state import StateVector, heat_nodes, wave_nodes
 
 from conftest import (
@@ -75,13 +81,20 @@ class TestAssembly:
         for order in orders:
             assert 1.7 <= order <= 2.3
 
-    def test_first_five_modes_second_order(self):
-        # log-log slope of |lam_h - lam| vs h over three refinements
-        targets = [NEUMANN_ROOTS[n] for n in (0, 1, 2, 5, 10)]
+    @pytest.mark.parametrize("variant", [NEU, DIR])
+    def test_first_five_modes_second_order(self, variant):
+        # log-log slope of |lam_h - lam| vs h over three refinements; the
+        # Dirichlet roots are polished, branch 0 from its 4-digit value
+        if variant is NEU:
+            targets = [NEUMANN_ROOTS[n] for n in (0, 1, 2, 5, 10)]
+        else:
+            disks = [EigenvalueSeed(0, _DIRICHLET_BRANCH_0, 1.0)] + [
+                d for d in seeds(DIR, 10) if d.n in (1, 2, 5, 10)]
+            targets = [polish(d, DIR).lam for d in disks]
         grids = (64, 128, 256)
         errs = np.zeros((len(targets), len(grids)))
         for j, n in enumerate(grids):
-            gen = assemble(GridSpec(n, n), NEU)
+            gen = assemble(GridSpec(n, n), variant)
             for i, tgt in enumerate(targets):
                 errs[i, j] = abs(gen.eigenvalues_near([tgt])[0] - tgt)
         hs = np.log([1.0 / n for n in grids])
